@@ -12,16 +12,12 @@ front end in `blendfit.cli`.
 
 from .correspondence import (
     CorrespondenceSet,
-    DepthCorrespondence,
     DepthFrame,
     GateConfig,
     LandmarkSet,
     NoDataError,
-    depth_residual,
-    find_correspondence,
     find_correspondences,
     landmark_jacobian,
-    landmark_residual,
 )
 from .geometry import (
     BehindCameraError,
@@ -41,7 +37,6 @@ from .geometry import (
     face_areas,
     pose_delta,
     project,
-    transform_point,
     validate_bsc,
     vertex_normals,
 )

@@ -1,4 +1,4 @@
-"""Depth-map correspondences and the residual terms built from them.
+"""Depth-map correspondences, landmark sets and the projection Jacobian.
 
 Association is projective: a camera-frame vertex is projected into the
 depth image, the depth under it is read, and the backprojected pixel
@@ -24,7 +24,6 @@ from .geometry import (
     BehindCameraError,
     CameraIntrinsics,
     _readonly,
-    project,
 )
 
 
@@ -61,29 +60,12 @@ class DepthFrame:
 
 
 @dataclass(frozen=True)
-class DepthCorrespondence:
-    """Match of one mesh vertex to a depth-map surface point and normal."""
-
-    vertex_index: int
-    target_point: np.ndarray
-    target_normal: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.target_point, dtype=np.float64).reshape(3)
-        n = np.asarray(self.target_normal, dtype=np.float64).reshape(3)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-6:
-            raise ValueError("target normal must be unit length")
-        object.__setattr__(self, "target_point", _readonly(p))
-        object.__setattr__(self, "target_normal", _readonly(n))
-
-
-@dataclass(frozen=True)
 class CorrespondenceSet:
     """Batch of depth correspondences as parallel arrays.
 
-    vertex_indices: (M,) int, points/normals: (M, 3). The vectorized
-    search returns this form; it converts to and from per-item
-    DepthCorrespondence lists where convenient.
+    vertex_indices (M,) int, points (M, 3), normals (M, 3): vertex
+    vertex_indices[i] is matched to the plane through points[i] with
+    unit normal normals[i].
     """
 
     vertex_indices: np.ndarray
@@ -103,22 +85,11 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return len(self.vertex_indices)
 
-    def to_list(self) -> list:
-        return [DepthCorrespondence(int(i), p, n)
-                for i, p, n in zip(self.vertex_indices, self.points, self.normals)]
-
-    @classmethod
-    def from_list(cls, corrs) -> "CorrespondenceSet":
-        if isinstance(corrs, CorrespondenceSet):
-            return corrs
-        corrs = list(corrs)
-        if not corrs:
-            return cls(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3)))
-        return cls(
-            np.array([c.vertex_index for c in corrs], dtype=np.int64),
-            np.stack([c.target_point for c in corrs]),
-            np.stack([c.target_normal for c in corrs]),
-        )
+    def residuals(self, vertices) -> np.ndarray:
+        """Signed point-to-plane distances n . (v - p) of the matched rows
+        of `vertices` (V, 3), meters; one per correspondence."""
+        v = vertices[self.vertex_indices]
+        return np.einsum("ij,ij->i", self.normals, v - self.points)
 
 
 @dataclass(frozen=True)
@@ -151,8 +122,6 @@ def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics
     """
     verts = np.asarray(vertices_cam, dtype=np.float64).reshape(-1, 3)
     m = len(verts)
-    if m == 0:
-        return CorrespondenceSet.from_list([])
 
     depth = np.asarray(frame.values, dtype=np.float64)
     h, w = depth.shape
@@ -223,27 +192,6 @@ def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics
     return CorrespondenceSet(idx, target[idx], normal[idx])
 
 
-def find_correspondence(vertex_cam, frame: DepthFrame, intr: CameraIntrinsics,
-                        gates: GateConfig):
-    """Single-vertex projective association; None when every gate fails."""
-    found = find_correspondences(np.asarray(vertex_cam).reshape(1, 3), frame, intr, gates)
-    if len(found) == 0:
-        return None
-    return DepthCorrespondence(0, found.points[0], found.normals[0])
-
-
-def depth_residual(v, corr: DepthCorrespondence) -> float:
-    """Squared point-to-plane distance (n^T (v - target))^2, meters^2."""
-    d = float(np.dot(corr.target_normal, np.asarray(v, dtype=np.float64) - corr.target_point))
-    return d * d
-
-
-def landmark_residual(v_cam, intr: CameraIntrinsics, u_j) -> float:
-    """Squared pixel distance between the projected vertex and a landmark."""
-    r = project(intr, v_cam) - np.asarray(u_j, dtype=np.float64)
-    return float(r @ r)
-
-
 def landmark_jacobian(v_cam, intr: CameraIntrinsics) -> np.ndarray:
     """Analytic 2x3 Jacobian of the pinhole projection at a camera-frame point."""
     x, y, z = np.asarray(v_cam, dtype=np.float64)
@@ -281,6 +229,8 @@ class LandmarkSet:
             raise ValueError("landmark arrays must have equal length")
         if len(conf) and (conf.min() < 0 or conf.max() > 1):
             raise ValueError("confidences must be in [0, 1]")
+        if len(idx) and idx.min() < 0:
+            raise ValueError(f"landmark vertex index {int(idx.min())} is negative")
         if self.image_size is not None and len(px):
             w, h = self.image_size
             if px[:, 0].min() < 0 or px[:, 0].max() >= w or \
@@ -302,4 +252,6 @@ class LandmarkSet:
 
     def check_vertices(self, vertex_count: int) -> None:
         if len(self) and self.vertex_indices.max() >= vertex_count:
-            raise ValueError("landmark vertex index out of range for the model")
+            raise ValueError(
+                f"landmark vertex index {int(self.vertex_indices.max())} out of "
+                f"range for a model with {vertex_count} vertices")

@@ -376,11 +376,6 @@ def evaluate_mesh(model: BlendshapeModel, x) -> Mesh:
     return Mesh(vertices, model.neutral.faces)
 
 
-def transform_point(pose: RigidPose, p) -> np.ndarray:
-    """Apply R p + t."""
-    return pose.apply(p)
-
-
 def project(intr: CameraIntrinsics, p_cam) -> np.ndarray:
     """Pinhole projection of camera-frame point(s) to continuous pixel coords.
 

@@ -1,12 +1,13 @@
-"""Rigid alignment of the expression mesh to a depth frame.
+"""Rigid alignment of the expression mesh to a depth frame, and the
+Gauss-Newton pose step it shares with the frame fitter.
 
-Classic point-to-plane ICP with projective association. Each iteration
-gathers correspondences under the current pose, solves the small-angle
-linearized 6x6 normal equations for a twist update (3 rotation + 3
-translation), and re-orthonormalizes the quaternion. A candidate step
-whose mean point-to-plane error increases is rejected and halved, up to
-four times, which keeps the error trace non-increasing across accepted
-iterations even on noisy data.
+`point_to_plane_rows` linearizes the residuals n . (v - p) for a small
+left twist (3 rotation + 3 translation); `pose_step` solves stacked rows
+for a twist and halves it, up to four times, until the caller's error
+does not rise. `align_rigid` is point-to-plane ICP with projective
+association on that step: every candidate pose is scored by its mean
+squared error on matches gathered afresh under it, so the accepted error
+trace is non-increasing even on noisy data.
 """
 
 from __future__ import annotations
@@ -56,21 +57,42 @@ class IcpDiagnostics:
     halvings: int = 0
     converged: bool = False
 
-    @property
-    def final_count(self) -> int:
-        return self.correspondence_counts[-1] if self.correspondence_counts else 0
 
-
-def _gather(mesh_vertices, pose, frame, intr, gates):
-    verts_cam = pose.apply(mesh_vertices)
-    corrs = find_correspondences(verts_cam, frame, intr, gates)
-    return verts_cam, corrs
-
-
-def _mean_sq_error(verts_cam, corrs: CorrespondenceSet) -> float:
+def point_to_plane_rows(verts_cam, corrs: CorrespondenceSet):
+    """Gauss-Newton rows of the point-to-plane residuals for a left twist
+    (omega, tau): the (M, 6) Jacobian [v x n, n] and the (M,) residuals
+    n . (v - p), for camera-frame vertices `verts_cam` (V, 3)."""
     v = verts_cam[corrs.vertex_indices]
-    r = np.einsum("ij,ij->i", corrs.normals, v - corrs.points)
-    return float(np.mean(r * r))
+    jac = np.concatenate([np.cross(v, corrs.normals), corrs.normals], axis=1)
+    return jac, corrs.residuals(verts_cam)
+
+
+def pose_step(pose: RigidPose, jac, res, f_cur: float, evaluate):
+    """One Gauss-Newton twist step on `pose` from stacked rows (jac, res).
+
+    The full step is tried first and halved up to four times until
+    `evaluate(candidate_pose)` is not above `f_cur`; `evaluate` returns
+    None to reject a candidate outright. Returns (pose, value, twist,
+    halvings): the accepted pose, its value and the applied 6-vector
+    twist, or the unchanged `pose`, `f_cur` and twist None when every
+    candidate was rejected. Raises DegenerateGeometryError when the 6x6
+    normal equations are singular.
+    """
+    jtj = jac.T @ jac
+    jtr = jac.T @ res
+    if np.linalg.cond(jtj) > _COND_LIMIT:
+        raise DegenerateGeometryError("pose normal equations are singular")
+    step = -np.linalg.solve(jtj, jtr)
+
+    scale = 1.0
+    for halvings in range(_MAX_HALVINGS + 1):
+        twist = scale * step
+        cand = apply_twist(pose, twist[:3], twist[3:])
+        f_cand = evaluate(cand)
+        if f_cand is not None and f_cand <= f_cur:
+            return cand, f_cand, twist, halvings
+        scale *= 0.5
+    return pose, f_cur, None, _MAX_HALVINGS
 
 
 def initial_pose_from_depth(mesh: Mesh, frame: DepthFrame,
@@ -102,58 +124,45 @@ def align_rigid(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
     """Point-to-plane ICP from `init`; returns the refined pose and diagnostics.
 
     Raises InsufficientDataError when fewer than min_correspondences
-    vertices match at any iteration, DegenerateGeometryError when the
-    normal equations are singular.
+    vertices match at `init` (a candidate pose with fewer is rejected),
+    DegenerateGeometryError when the normal equations are singular.
     """
     cfg = cfg or IcpConfig()
     if mesh.vertex_count == 0:
         raise InsufficientDataError("empty mesh")
 
-    pose = init
-    diag = IcpDiagnostics()
+    matched = None   # (camera-frame vertices, correspondences) at the last pose scored
 
-    verts_cam, corrs = _gather(mesh.vertices, pose, frame, intr, cfg.gates)
-    if len(corrs) < cfg.min_correspondences:
+    def mean_sq_error(cand):
+        nonlocal matched
+        verts = cand.apply(mesh.vertices)
+        matched = verts, find_correspondences(verts, frame, intr, cfg.gates)
+        if len(matched[1]) < cfg.min_correspondences:
+            return None
+        r = matched[1].residuals(verts)
+        return float(np.mean(r * r))
+
+    pose = init
+    err = mean_sq_error(pose)
+    verts_cam, corrs = matched
+    if err is None:
         raise InsufficientDataError(
             f"{len(corrs)} correspondences < required {cfg.min_correspondences}")
-    err = _mean_sq_error(verts_cam, corrs)
 
+    diag = IcpDiagnostics()
     for _ in range(cfg.max_iterations):
         diag.iterations += 1
         diag.correspondence_counts.append(len(corrs))
         diag.mean_errors.append(err)
 
-        v = verts_cam[corrs.vertex_indices]
-        n = corrs.normals
-        r = np.einsum("ij,ij->i", n, v - corrs.points)
-        jac = np.concatenate([np.cross(v, n), n], axis=1)   # (M, 6)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        if np.linalg.cond(jtj) > _COND_LIMIT:
-            raise DegenerateGeometryError("point-to-plane normal equations are singular")
-        step = -np.linalg.solve(jtj, jtr)
-
-        # step halving keeps the accepted-error trace non-increasing
-        accepted = None
-        scale = 1.0
-        for _h in range(_MAX_HALVINGS + 1):
-            cand_pose = apply_twist(pose, scale * step[:3], scale * step[3:])
-            cand_verts, cand_corrs = _gather(mesh.vertices, cand_pose, frame, intr, cfg.gates)
-            if len(cand_corrs) >= cfg.min_correspondences:
-                cand_err = _mean_sq_error(cand_verts, cand_corrs)
-                if cand_err <= err:
-                    accepted = (cand_pose, cand_verts, cand_corrs, cand_err, scale)
-                    break
-            if _h < _MAX_HALVINGS:
-                diag.halvings += 1
-                scale *= 0.5
-        if accepted is None:
+        jac, res = point_to_plane_rows(verts_cam, corrs)
+        pose, err, twist, halvings = pose_step(pose, jac, res, err, mean_sq_error)
+        diag.halvings += halvings
+        if twist is None:
             break
-
-        pose, verts_cam, corrs, err, scale = accepted
-        rot_step = float(np.linalg.norm(scale * step[:3]))
-        trans_step = float(np.linalg.norm(scale * step[3:]))
-        if rot_step < np.deg2rad(cfg.rotation_epsilon) and trans_step < cfg.translation_epsilon:
+        verts_cam, corrs = matched   # the accepted candidate was scored last
+        if np.linalg.norm(twist[:3]) < np.deg2rad(cfg.rotation_epsilon) and \
+           np.linalg.norm(twist[3:]) < cfg.translation_epsilon:
             diag.converged = True
             break
 

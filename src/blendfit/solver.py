@@ -17,7 +17,9 @@ which decreases the objective at every single coordinate update.
 
 Frame fitting refreshes the depth correspondences once per outer
 iteration, re-solves the coefficients on the frozen set, then takes one
-Gauss-Newton step on the rigid pose against the same full objective.
+Gauss-Newton step on the rigid pose against the same full objective:
+the point-to-plane step of `icp.pose_step` with weighted landmark
+reprojection rows appended, scored on the frozen set.
 The coefficient solve runs first because it tolerates slightly stale
 correspondences far better than the pose does: point-to-plane rigid
 alignment of a wrongly-expressed face can slide into a cheaper but
@@ -51,7 +53,6 @@ from .geometry import (
     DimensionMismatchError,
     RigidPose,
     SequenceFrame,
-    apply_twist,
     evaluate_mesh,
     project,
     quat_to_matrix,
@@ -62,6 +63,8 @@ from .icp import (
     InsufficientDataError,
     align_rigid,
     initial_pose_from_depth,
+    point_to_plane_rows,
+    pose_step,
 )
 
 log = logging.getLogger(__name__)
@@ -161,7 +164,6 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
     linearization of the reprojection residual at `x_lin`. Raises
     NoDataError when there are neither correspondences nor landmarks.
     """
-    corrs = CorrespondenceSet.from_list(corrs) if not isinstance(corrs, CorrespondenceSet) else corrs
     n = model.n
     x_lin = np.asarray(x_lin, dtype=float)
     if x_lin.shape != (n,):
@@ -276,8 +278,7 @@ def _objective_on(verts_model, pose, x, corrs: CorrespondenceSet,
     verts = pose.apply(verts_model)
     total = cfg.w_r * float(np.sum(np.abs(x)))
     if len(corrs) > 0:
-        v = verts[corrs.vertex_indices]
-        r = np.einsum("ij,ij->i", corrs.normals, v - corrs.points)
+        r = corrs.residuals(verts)
         total += cfg.w_d * float(r @ r)
     if landmarks is not None and len(landmarks) > 0:
         if intr is None:
@@ -291,7 +292,6 @@ def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
                        corrs, landmarks: LandmarkSet | None,
                        intr: CameraIntrinsics | None, cfg: SolverConfig) -> float:
     """Exact (non-linearized) objective value at (pose, x)."""
-    corrs = CorrespondenceSet.from_list(corrs) if not isinstance(corrs, CorrespondenceSet) else corrs
     x = np.asarray(x, dtype=float)
     return _objective_on(evaluate_mesh(model, x).vertices, pose, x,
                          corrs, landmarks, intr, cfg)
@@ -306,18 +306,17 @@ def _skew(v) -> np.ndarray:
 def _pose_step(verts_model, pose, x, corrs, landmarks, intr,
                cfg: SolverConfig, f_cur: float):
     """One Gauss-Newton twist step on the pose against the full
-    objective, on a frozen correspondence set. Halves the step until the
-    objective does not increase; keeps the old pose when every halved
-    step increases it or the normal equations are singular."""
+    objective, on a frozen correspondence set: the shared point-to-plane
+    step with weighted landmark rows appended. Keeps the old pose when
+    every halved step increases the objective or the normal equations
+    are singular."""
     verts_cam = pose.apply(verts_model)
     rows_j = []
     rows_r = []
     if len(corrs) > 0:
-        v = verts_cam[corrs.vertex_indices]
-        n = corrs.normals
-        r = np.einsum("ij,ij->i", n, v - corrs.points)
+        jac, r = point_to_plane_rows(verts_cam, corrs)
         sw = np.sqrt(cfg.w_d)
-        rows_j.append(sw * np.concatenate([np.cross(v, n), n], axis=1))
+        rows_j.append(sw * jac)
         rows_r.append(sw * r)
     if landmarks is not None and len(landmarks) > 0:
         for j in range(len(landmarks)):
@@ -328,21 +327,13 @@ def _pose_step(verts_model, pose, x, corrs, landmarks, intr,
             sw = np.sqrt(cfg.w_l * landmarks.confidences[j])
             rows_j.append(sw * jp)
             rows_r.append(sw * (project(intr, vj) - landmarks.pixels[j]))
-    jac_all = np.concatenate(rows_j, axis=0)
-    res_all = np.concatenate(rows_r)
-    jtj = jac_all.T @ jac_all
     try:
-        step = -np.linalg.solve(jtj, jac_all.T @ res_all)
-    except np.linalg.LinAlgError:
-        return pose, f_cur
-
-    scale = 1.0
-    for _ in range(_MAX_HALVINGS + 1):
-        cand = apply_twist(pose, scale * step[:3], scale * step[3:])
-        f_cand = _objective_on(verts_model, cand, x, corrs, landmarks, intr, cfg)
-        if f_cand <= f_cur:
-            return cand, f_cand
-        scale *= 0.5
+        pose, f_cur, _, _ = pose_step(
+            pose, np.concatenate(rows_j, axis=0), np.concatenate(rows_r), f_cur,
+            lambda cand: _objective_on(verts_model, cand, x, corrs, landmarks,
+                                       intr, cfg))
+    except DegenerateGeometryError:
+        pass
     return pose, f_cur
 
 
@@ -360,10 +351,13 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     set until the full objective stalls; every step is halved until it
     does not increase the objective, so the recorded per-iteration trace
     is non-increasing. Raises TrackingError when the frame carries no
-    usable data.
+    usable data, ValueError when a landmark names a vertex the model
+    does not have.
     """
     cfg = cfg or SolverConfig()
     n_land = 0 if landmarks is None else len(landmarks)
+    if n_land:
+        landmarks.check_vertices(model.vertex_count)
     if init_pose is not None:
         pose = init_pose
     elif prev is not None:

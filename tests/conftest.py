@@ -90,3 +90,35 @@ def random_model(rng, side=3, n=4):
     basis = rng.normal(scale=0.01, size=(n, len(verts), 3))
     return BlendshapeModel(Mesh(verts, np.array(faces)), basis,
                            tuple(f"bs{k:02d}" for k in range(n)))
+
+
+def wall_frame(intr, z=1.0):
+    """Depth render of a large camera-facing wall at the given depth."""
+    from blendfit import Mesh, RigidPose
+    from blendfit.synth import render_depth
+
+    half = 0.6 * z
+    verts = np.array([[-half, -half, z], [half, -half, z],
+                      [half, half, z], [-half, half, z]])
+    # winding chosen so the geometric normal points at the camera
+    faces = np.array([[0, 2, 1], [0, 3, 2]])
+    return render_depth(Mesh(verts, faces), RigidPose.identity(), intr)
+
+
+def flat_sheet_model(z, side=8):
+    """A flat side x side grid sheet at depth z with one shape that pushes
+    every vertex 1 cm toward +z: a plane cannot fix rotation about the
+    view axis or in-plane translation, so its pose system is singular."""
+    from blendfit import BlendshapeModel, Mesh
+
+    xs, ys = np.meshgrid(np.linspace(-0.1, 0.1, side), np.linspace(-0.1, 0.1, side))
+    verts = np.column_stack([xs.ravel(), ys.ravel(), np.full(side * side, z)])
+    faces = []
+    for r in range(side - 1):
+        for c in range(side - 1):
+            a = r * side + c
+            faces.append((a, a + side, a + 1))
+            faces.append((a + 1, a + side, a + side + 1))
+    basis = np.zeros((1, len(verts), 3))
+    basis[0, :, 2] = 0.01
+    return BlendshapeModel(Mesh(verts, np.array(faces)), basis, ("push",))

@@ -1,6 +1,7 @@
 """Command-line pipeline: synth, track, eval, apply, personalize, exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -151,6 +152,23 @@ def test_untrackable_dataset_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "o.bscseq")])
     assert rc == 2
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertex", [99999, -1])
+def test_track_rejects_bad_landmark_vertex(workspace, tmp_path, capsys, vertex):
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace / "ds", ds)
+    lm_path = ds / "landmarks_0001.json"
+    doc = json.loads(lm_path.read_text())
+    doc["points"][0]["vertex"] = vertex
+    lm_path.write_text(json.dumps(doc))
+    rc = main(["track", "--model", "testhead",
+               "--dataset", str(ds / "manifest.json"),
+               "--out", str(tmp_path / "o.bscseq")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("blendfit track: error:")
+    assert "Traceback" not in err
 
 
 def test_config_file_defaults_with_flag_override(tmp_path):

@@ -5,54 +5,45 @@ import pytest
 
 from blendfit import (
     CameraIntrinsics,
-    DepthCorrespondence,
+    CorrespondenceSet,
     DepthFrame,
     GateConfig,
     LandmarkSet,
-    Mesh,
-    RigidPose,
-    depth_residual,
-    find_correspondence,
+    backproject,
     find_correspondences,
     landmark_jacobian,
-    landmark_residual,
     project,
 )
-from blendfit.synth import render_depth
+from conftest import wall_frame
 
 WIDE = GateConfig(max_point_distance=1.0, max_normal_angle=85.0)
 
 
-def _wall_frame(intr, z=1.0):
-    """Depth render of a large camera-facing wall at the given depth."""
-    half = 0.6 * z
-    verts = np.array([[-half, -half, z], [half, -half, z],
-                      [half, half, z], [-half, half, z]])
-    # winding chosen so the geometric normal points at the camera
-    faces = np.array([[0, 2, 1], [0, 3, 2]])
-    return render_depth(Mesh(verts, faces), RigidPose.identity(), intr)
+def _match_one(vertex, frame, intr, gates):
+    """One-row batch search: the match of a single vertex, or an empty set."""
+    return find_correspondences(np.reshape(vertex, (1, 3)), frame, intr, gates)
 
 
 def test_wall_hit_recovers_point_and_normal(intr):
-    frame = _wall_frame(intr)
+    frame = wall_frame(intr)
     vertex = np.array([0.05, -0.03, 1.0])
-    corr = find_correspondence(vertex, frame, intr, WIDE)
-    assert corr is not None
-    np.testing.assert_allclose(corr.target_point, vertex, atol=1e-4)
-    np.testing.assert_allclose(corr.target_normal, [0.0, 0.0, -1.0], atol=1e-3)
+    corr = _match_one(vertex, frame, intr, WIDE)
+    assert list(corr.vertex_indices) == [0]
+    np.testing.assert_allclose(corr.points[0], vertex, atol=1e-4)
+    np.testing.assert_allclose(corr.normals[0], [0.0, 0.0, -1.0], atol=1e-3)
 
 
 def test_vertex_off_image_returns_none(intr):
-    frame = _wall_frame(intr)
-    assert find_correspondence((5.0, 0.0, 1.0), frame, intr, WIDE) is None
+    frame = wall_frame(intr)
+    assert len(_match_one((5.0, 0.0, 1.0), frame, intr, WIDE)) == 0
 
 
 def test_distance_gate_rejects_far_vertex(intr):
-    frame = _wall_frame(intr)
+    frame = wall_frame(intr)
     gates = GateConfig(max_point_distance=0.02)
     # projects onto the wall but floats 5 cm in front of it
-    assert find_correspondence((0.0, 0.0, 0.95), frame, intr, gates) is None
-    assert find_correspondence((0.0, 0.0, 0.995), frame, intr, gates) is not None
+    assert len(_match_one((0.0, 0.0, 0.95), frame, intr, gates)) == 0
+    assert len(_match_one((0.0, 0.0, 0.995), frame, intr, gates)) == 1
 
 
 def test_invalid_depth_returns_none(intr):
@@ -60,26 +51,32 @@ def test_invalid_depth_returns_none(intr):
     rng = np.random.default_rng(0)
     for _ in range(20):
         v = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), 1.0])
-        assert find_correspondence(v, blank, intr, WIDE) is None
+        assert len(_match_one(v, blank, intr, WIDE)) == 0
+
+
+def test_empty_vertex_batch_gives_empty_set(intr):
+    found = find_correspondences(np.zeros((0, 3)), wall_frame(intr), intr, WIDE)
+    assert len(found) == 0
+    assert found.points.shape == (0, 3) and found.normals.shape == (0, 3)
 
 
 def test_batch_matches_single_vertex_search(intr):
-    frame = _wall_frame(intr)
+    frame = wall_frame(intr)
     rng = np.random.default_rng(1)
     verts = np.column_stack([rng.uniform(-0.8, 0.8, 40),
                              rng.uniform(-0.8, 0.8, 40),
                              np.full(40, 1.0)])
     batch = find_correspondences(verts, frame, intr, WIDE)
-    singles = {i: find_correspondence(verts[i], frame, intr, WIDE)
+    singles = {i: _match_one(verts[i], frame, intr, WIDE)
                for i in range(len(verts))}
-    assert set(batch.vertex_indices) == {i for i, c in singles.items() if c is not None}
+    assert set(batch.vertex_indices) == {i for i, c in singles.items() if len(c)}
     for row, i in enumerate(batch.vertex_indices):
-        np.testing.assert_allclose(batch.points[row], singles[i].target_point)
-        np.testing.assert_allclose(batch.normals[row], singles[i].target_normal)
+        np.testing.assert_allclose(batch.points[row], singles[i].points[0])
+        np.testing.assert_allclose(batch.normals[row], singles[i].normals[0])
 
 
 def test_gating_is_monotone(intr):
-    frame = _wall_frame(intr)
+    frame = wall_frame(intr)
     rng = np.random.default_rng(2)
     verts = np.column_stack([rng.uniform(-0.7, 0.7, 60),
                              rng.uniform(-0.7, 0.7, 60),
@@ -96,39 +93,45 @@ def test_gating_is_monotone(intr):
 # ---------------------------------------------------------------------------
 # residual terms
 
-def _unit(v):
-    return np.asarray(v, dtype=float) / np.linalg.norm(v)
+def _one_plane(point, normal):
+    return CorrespondenceSet([0], [point], [normal])
 
 
 def test_depth_residual_zero_at_target():
-    corr = DepthCorrespondence(0, (0.1, 0.2, 1.0), (0.0, 0.0, -1.0))
-    assert depth_residual((0.1, 0.2, 1.0), corr) == 0.0
+    corr = _one_plane((0.1, 0.2, 1.0), (0.0, 0.0, -1.0))
+    assert corr.residuals(np.array([[0.1, 0.2, 1.0]]))[0] == 0.0
 
 
 def test_depth_residual_ignores_tangential_slide():
-    corr = DepthCorrespondence(0, (0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
-    assert depth_residual((0.25, -0.4, 1.0), corr) == 0.0
+    corr = _one_plane((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
+    assert corr.residuals(np.array([[0.25, -0.4, 1.0]]))[0] == 0.0
 
 
 def test_depth_residual_along_normal():
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = _unit(rng.normal(size=3))
-        p = rng.normal(size=3)
-        d = rng.uniform(-0.3, 0.3)
-        corr = DepthCorrespondence(0, p, n)
-        assert abs(depth_residual(p + d * n, corr) - d * d) < 1e-12
+    n = rng.normal(size=(20, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    p = rng.normal(size=(20, 3))
+    d = rng.uniform(-0.3, 0.3, 20)
+    # rows name their vertices out of order; each residual reads its own row
+    idx = rng.permutation(20)
+    verts = np.empty((20, 3))
+    verts[idx] = p + d[:, None] * n
+    r = CorrespondenceSet(idx, p, n).residuals(verts)
+    np.testing.assert_allclose(r, d, rtol=0, atol=1e-12)
 
 
 def test_landmark_residual_exact_hit(intr):
-    v = np.array([0.05, -0.02, 0.8])
-    assert landmark_residual(v, intr, project(intr, v)) == 0.0
+    u = np.array([200.25, 90.5])
+    v = backproject(intr, u[0], u[1], 0.8)
+    np.testing.assert_allclose(project(intr, v), u, rtol=0, atol=1e-9)
 
 
 def test_landmark_residual_three_four_five(intr):
     v = np.array([0.0, 0.0, 1.0])
     u = project(intr, v) + np.array([3.0, 4.0])
-    assert abs(landmark_residual(v, intr, u) - 25.0) < 1e-12
+    r = project(intr, v) - u
+    assert abs(float(r @ r) - 25.0) < 1e-12
 
 
 def test_landmark_residual_matches_direct_recomputation(intr):
@@ -139,8 +142,7 @@ def test_landmark_residual_matches_direct_recomputation(intr):
         u = rng.uniform(0, [intr.width, intr.height])
         px = np.array([intr.fx * v[0] / v[2] + intr.cx,
                        intr.fy * v[1] / v[2] + intr.cy])
-        expect = float((px - u) @ (px - u))
-        assert abs(landmark_residual(v, intr, u) - expect) < 1e-9
+        np.testing.assert_allclose(project(intr, v), px, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +201,8 @@ def test_landmark_set_vertex_bounds_check():
     lms.check_vertices(8)
     with pytest.raises(ValueError):
         lms.check_vertices(7)
+
+
+def test_landmark_set_rejects_negative_vertex():
+    with pytest.raises(ValueError, match="negative"):
+        LandmarkSet(("a", "b"), [3, -1], [[1.0, 2.0], [3.0, 4.0]])

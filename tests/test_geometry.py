@@ -20,7 +20,6 @@ from blendfit import (
     face_areas,
     pose_delta,
     project,
-    transform_point,
     validate_bsc,
     vertex_normals,
 )
@@ -80,14 +79,13 @@ def test_evaluate_mesh_rejects_wrong_length():
 # rigid poses
 
 def test_transform_point_identity():
-    p = transform_point(RigidPose.identity(), (1.0, 2.0, 3.0))
+    p = RigidPose.identity().apply((1.0, 2.0, 3.0))
     np.testing.assert_array_equal(p, [1.0, 2.0, 3.0])
 
 
 def test_transform_point_half_turn_about_z():
     pose = RigidPose.from_axis_angle((0, 0, 1), np.pi)
-    np.testing.assert_allclose(transform_point(pose, (1, 0, 0)), [-1, 0, 0],
-                               atol=1e-12)
+    np.testing.assert_allclose(pose.apply((1, 0, 0)), [-1, 0, 0], atol=1e-12)
 
 
 def _random_pose(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blendfit import (
+    DegenerateGeometryError,
     DepthFrame,
     IcpConfig,
     InsufficientDataError,
@@ -14,6 +15,8 @@ from blendfit import (
 from blendfit.geometry import quat_from_axis_angle
 from blendfit.icp import align_rigid, initial_pose_from_depth
 from blendfit.synth import frontal_pose, render_depth
+
+from conftest import flat_sheet_model, wall_frame
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +85,14 @@ def test_alignment_invariant_to_vertex_permutation(neutral_mesh, neutral_frame, 
     pose_b, _ = align_rigid(shuffled, neutral_frame, intr, init, IcpConfig())
     rot, trans = pose_delta(pose_a, pose_b)
     assert rot < 1e-6 and trans < 1e-6
+
+
+def test_plane_against_plane_is_degenerate(intr):
+    # a flat sheet 1 cm in front of a flat wall: every match has the same
+    # normal, so the 6x6 pose system has no rank along three twist axes
+    sheet = flat_sheet_model(0.99).neutral
+    with pytest.raises(DegenerateGeometryError):
+        align_rigid(sheet, wall_frame(intr), intr, RigidPose.identity(), IcpConfig())
 
 
 def test_config_validation():

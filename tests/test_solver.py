@@ -6,7 +6,6 @@ import pytest
 from blendfit import (
     BlendshapeModel,
     CorrespondenceSet,
-    DepthCorrespondence,
     DepthFrame,
     LandmarkSet,
     Mesh,
@@ -16,12 +15,10 @@ from blendfit import (
     SolverConfig,
     TrackingError,
     assemble_quadratic,
-    depth_residual,
     evaluate_mesh,
     evaluate_objective,
     find_correspondences,
     fit_frame,
-    landmark_residual,
     pose_delta,
     solve_l1_box,
     track_sequence,
@@ -33,7 +30,7 @@ from blendfit.synth import (
     generate_sequence,
 )
 
-from conftest import sparse_coefficients
+from conftest import flat_sheet_model, sparse_coefficients, wall_frame
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +78,9 @@ def test_assemble_single_correspondence_symbolic():
     n = np.array([0.0, 0.0, -1.0])
     model = _one_vertex_model(n)
     gap = 0.07
-    corr = DepthCorrespondence(0, model.neutral.vertices[0] + gap * n, n)
+    corr = CorrespondenceSet([0], [model.neutral.vertices[0] + gap * n], [n])
     cfg = SolverConfig(w_d=1.0, w_l=0.0)
-    q = assemble_quadratic(model, RigidPose.identity(), [corr], None, None,
+    q = assemble_quadratic(model, RigidPose.identity(), corr, None, None,
                            np.zeros(1), cfg)
     # D(x) = (x - d)^2 with d the normal-projected gap
     np.testing.assert_allclose(q.H, [[2.0]], atol=1e-12)
@@ -104,8 +101,9 @@ def test_assemble_zero_weights_gives_zero_form(scene, head, intr):
 
 def test_assemble_requires_some_data(head, intr):
     with pytest.raises(NoDataError):
-        assemble_quadratic(head, frontal_pose(), [], LandmarkSet.empty(), intr,
-                           np.zeros(head.n), SolverConfig())
+        assemble_quadratic(head, frontal_pose(),
+                           CorrespondenceSet([], np.zeros((0, 3)), np.zeros((0, 3))),
+                           LandmarkSet.empty(), intr, np.zeros(head.n), SolverConfig())
 
 
 def test_assembled_value_matches_direct_residuals(scene, head, intr):
@@ -120,13 +118,18 @@ def test_assembled_value_matches_direct_residuals(scene, head, intr):
     cfg = SolverConfig()
     q = assemble_quadratic(head, pose, corrs, landmarks, intr, x_lin, cfg)
 
+    # reference: one row at a time, straight from the objective's definition
     posed = pose.apply(verts_model)
-    direct = cfg.w_d * sum(
-        depth_residual(posed[c.vertex_index], c) for c in corrs.to_list())
-    direct += cfg.w_l * sum(
-        conf * landmark_residual(posed[vj], intr, px)
-        for vj, px, conf in zip(landmarks.vertex_indices, landmarks.pixels,
-                                landmarks.confidences))
+    direct = 0.0
+    for i, p, n in zip(corrs.vertex_indices, corrs.points, corrs.normals):
+        d = float(n @ (posed[i] - p))
+        direct += cfg.w_d * d * d
+    for vj, px, conf in zip(landmarks.vertex_indices, landmarks.pixels,
+                            landmarks.confidences):
+        x, y, z = posed[vj]
+        du = intr.fx * x / z + intr.cx - px[0]
+        dv = intr.fy * y / z + intr.cy - px[1]
+        direct += cfg.w_l * conf * (du * du + dv * dv)
     assert abs(q.value(x_lin) - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
@@ -262,6 +265,17 @@ def test_fit_frame_landmarks_only(scene, head, intr):
     assert fit.landmark_count == len(landmarks)
     trace = np.asarray(fit.objective_trace)
     assert trace[-1] <= trace[0]
+
+
+def test_fit_frame_keeps_pose_when_pose_system_is_singular(intr):
+    # plane against plane: the pose step's normal equations are singular,
+    # so every outer iteration keeps the initial pose as it is
+    init = RigidPose.from_axis_angle((0.0, 0.0, 1.0), 0.02, (0.003, -0.002, 0.0))
+    fit = fit_frame(flat_sheet_model(0.99), wall_frame(intr), None, intr,
+                    init_pose=init)
+    assert fit.correspondence_count > 0
+    np.testing.assert_array_equal(fit.pose.rotation, init.rotation)
+    np.testing.assert_array_equal(fit.pose.translation, init.translation)
 
 
 def test_fit_frame_requires_some_data(head, intr):

@@ -128,8 +128,13 @@ def _cmd_track(args) -> int:
     def load(i_entry):
         i, entry = i_entry
         frame, intr = io.read_depth(entry.depth_path, frame_index=i)
-        lms = (io.read_landmarks(entry.landmarks_path)
-               if entry.landmarks_path is not None else None)
+        lms = None
+        if entry.landmarks_path is not None:
+            lms = io.read_landmarks(entry.landmarks_path)
+            try:
+                lms.check_vertices(model.vertex_count)
+            except ValueError as exc:
+                raise io.FormatError(f"{entry.landmarks_path}: {exc}") from None
         return frame, intr, lms
 
     jobs = list(enumerate(manifest.frames))

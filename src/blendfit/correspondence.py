@@ -193,14 +193,21 @@ def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics
 
 
 def landmark_jacobian(v_cam, intr: CameraIntrinsics) -> np.ndarray:
-    """Analytic 2x3 Jacobian of the pinhole projection at a camera-frame point."""
-    x, y, z = np.asarray(v_cam, dtype=np.float64)
-    if z <= 0.0:
+    """Analytic Jacobian of the pinhole projection at camera-frame point(s).
+
+    Accepts (3,) or (..., 3); returns (2, 3) or (..., 2, 3). Raises
+    BehindCameraError if any point has z <= 0.
+    """
+    p = np.asarray(v_cam, dtype=np.float64)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    if np.any(z <= 0.0):
         raise BehindCameraError("cannot linearize projection behind the camera")
-    return np.array([
-        [intr.fx / z, 0.0, -intr.fx * x / (z * z)],
-        [0.0, intr.fy / z, -intr.fy * y / (z * z)],
-    ])
+    jac = np.zeros(p.shape[:-1] + (2, 3))
+    jac[..., 0, 0] = intr.fx / z
+    jac[..., 0, 2] = -intr.fx * x / (z * z)
+    jac[..., 1, 1] = intr.fy / z
+    jac[..., 1, 2] = -intr.fy * y / (z * z)
+    return jac
 
 
 @dataclass(frozen=True)

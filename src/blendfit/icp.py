@@ -1,13 +1,15 @@
 """Rigid alignment of the expression mesh to a depth frame, and the
 Gauss-Newton pose step it shares with the frame fitter.
 
-`point_to_plane_rows` linearizes the residuals n . (v - p) for a small
-left twist (3 rotation + 3 translation); `pose_step` solves stacked rows
-for a twist and halves it, up to four times, until the caller's error
-does not rise. `align_rigid` is point-to-plane ICP with projective
-association on that step: every candidate pose is scored by its mean
-squared error on matches gathered afresh under it, so the accepted error
-trace is non-increasing even on noisy data.
+`twist_rows` linearizes, for a small left twist (3 rotation + 3
+translation), residuals that each depend on one camera-frame point p
+with gradient g: row [p x g, g], with g = n for point-to-plane rows.
+`pose_step` solves stacked rows for a twist and halves it, up to four
+times, until the caller's error does not rise. `align_rigid` is
+point-to-plane ICP with projective association on that step: every
+candidate pose is scored by its mean squared error on matches gathered
+afresh under it, so the accepted error trace is non-increasing even on
+noisy data.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correspondence import CorrespondenceSet, DepthFrame, GateConfig, find_correspondences
+from .correspondence import DepthFrame, GateConfig, find_correspondences
 from .geometry import CameraIntrinsics, Mesh, RigidPose, apply_twist
 
 _MAX_HALVINGS = 4
@@ -58,13 +60,11 @@ class IcpDiagnostics:
     converged: bool = False
 
 
-def point_to_plane_rows(verts_cam, corrs: CorrespondenceSet):
-    """Gauss-Newton rows of the point-to-plane residuals for a left twist
-    (omega, tau): the (M, 6) Jacobian [v x n, n] and the (M,) residuals
-    n . (v - p), for camera-frame vertices `verts_cam` (V, 3)."""
-    v = verts_cam[corrs.vertex_indices]
-    jac = np.concatenate([np.cross(v, corrs.normals), corrs.normals], axis=1)
-    return jac, corrs.residuals(verts_cam)
+def twist_rows(points, grads) -> np.ndarray:
+    """(M, 6) Jacobian [p x g, g] for a left twist (omega, tau) of M
+    residuals, residual i depending only on camera-frame point points[i]
+    with gradient grads[i] (M, 3) there."""
+    return np.concatenate([np.cross(points, grads), grads], axis=1)
 
 
 def pose_step(pose: RigidPose, jac, res, f_cur: float, evaluate):
@@ -155,7 +155,8 @@ def align_rigid(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
         diag.correspondence_counts.append(len(corrs))
         diag.mean_errors.append(err)
 
-        jac, res = point_to_plane_rows(verts_cam, corrs)
+        jac = twist_rows(verts_cam[corrs.vertex_indices], corrs.normals)
+        res = corrs.residuals(verts_cam)
         pose, err, twist, halvings = pose_step(pose, jac, res, err, mean_sq_error)
         diag.halvings += halvings
         if twist is None:

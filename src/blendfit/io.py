@@ -308,20 +308,32 @@ def read_landmarks(path) -> LandmarkSet:
         raise FormatError(f"{path}: 'points' must be a list")
     ids, vids, px, conf = [], [], [], []
     for i, p in enumerate(points):
+        if not isinstance(p, dict):
+            raise FormatError(f"{path}: points[{i}] must be an object")
         unknown = set(p) - _LM_POINT_KEYS
         if unknown:
             raise FormatError(
                 f"{path}: points[{i}] has unknown fields {sorted(unknown)}")
         try:
             ids.append(str(p["id"]))
-            vids.append(int(p["vertex"]))
+            vertex = p["vertex"]
             px.append([float(p["u"]), float(p["v"])])
             conf.append(float(p.get("confidence", 1.0)))
         except KeyError as exc:
             raise FormatError(f"{path}: points[{i}] missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: points[{i}] has a bad number ({exc})") from None
+        if type(vertex) is not int:
+            raise FormatError(
+                f"{path}: points[{i}] vertex must be an integer, got {vertex!r}")
+        vids.append(vertex)
     image_size = doc.get("image_size")
     if image_size is not None:
-        image_size = (int(image_size[0]), int(image_size[1]))
+        if not (isinstance(image_size, list) and len(image_size) == 2
+                and all(type(s) is int for s in image_size)):
+            raise FormatError(
+                f"{path}: 'image_size' must be two integers [width, height]")
+        image_size = tuple(image_size)
     if not ids:
         return LandmarkSet.empty()
     try:

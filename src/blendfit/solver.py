@@ -9,17 +9,19 @@ coefficient vector:
          + w_r * ||x||_1        subject to 0 <= x <= 1
 
 with v(x) = b0 + B x pushed through the rigid pose. Sums are raw, not
-averaged; the weights absorb all scaling. The depth term is exactly
-quadratic in x; the landmark term is linearized once per outer
-iteration (Gauss-Newton). The resulting box-constrained lasso is solved
-by cyclic coordinate descent with a closed-form soft-threshold update,
-which decreases the objective at every single coordinate update.
+averaged; the weights absorb all scaling. Both smooth terms are one
+vector of weighted residual rows (`_residual_rows`), each row a function
+of one vertex. The depth term is exactly quadratic in x; the landmark
+term is linearized once per outer iteration (Gauss-Newton). The
+resulting box-constrained lasso is solved by cyclic coordinate descent
+with a closed-form soft-threshold update, which decreases the objective
+at every single coordinate update.
 
 Frame fitting refreshes the depth correspondences once per outer
 iteration, re-solves the coefficients on the frozen set, then takes one
 Gauss-Newton step on the rigid pose against the same full objective:
-the point-to-plane step of `icp.pose_step` with weighted landmark
-reprojection rows appended, scored on the frozen set.
+`icp.pose_step` on the twist rows of every weighted residual, depth and
+landmark alike, scored on the frozen set.
 The coefficient solve runs first because it tolerates slightly stale
 correspondences far better than the pose does: point-to-plane rigid
 alignment of a wrongly-expressed face can slide into a cheaper but
@@ -63,8 +65,8 @@ from .icp import (
     InsufficientDataError,
     align_rigid,
     initial_pose_from_depth,
-    point_to_plane_rows,
     pose_step,
+    twist_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -154,15 +156,42 @@ class TrackResult:
     fits: tuple                  # FrameFit or None per input frame
 
 
+def _residual_rows(verts_cam, corrs: CorrespondenceSet,
+                   landmarks: LandmarkSet | None,
+                   intr: CameraIntrinsics | None, cfg: SolverConfig):
+    """The smooth part of the objective as weighted residual rows.
+
+    Returns (idx (m,), grad (m, 3), r (m,)): row i is a function of the
+    camera-frame vertex verts_cam[idx[i]] alone, with gradient grad[i]
+    there, and r . r is the weighted depth plus landmark sum. One row per
+    depth match, sqrt(w_d) n . (v - p); two per landmark (u and v),
+    sqrt(w_l conf) (proj(v) - u) with the projection Jacobian rows.
+    """
+    sw = np.sqrt(cfg.w_d)
+    idx = [corrs.vertex_indices]
+    grad = [sw * corrs.normals]
+    res = [sw * corrs.residuals(verts_cam)]
+    if landmarks is not None and len(landmarks) > 0:
+        if intr is None:
+            raise ValueError("landmark terms require camera intrinsics")
+        v = verts_cam[landmarks.vertex_indices]
+        sw = np.sqrt(cfg.w_l * landmarks.confidences)[:, None]     # (L, 1)
+        idx.append(np.repeat(landmarks.vertex_indices, 2))
+        grad.append((sw[:, :, None] * landmark_jacobian(v, intr)).reshape(-1, 3))
+        res.append((sw * (project(intr, v) - landmarks.pixels)).reshape(-1))
+    return np.concatenate(idx), np.concatenate(grad), np.concatenate(res)
+
+
 def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
                        corrs, landmarks: LandmarkSet | None,
                        intr: CameraIntrinsics | None, x_lin,
                        cfg: SolverConfig) -> QuadraticForm:
     """Build the smooth part of the objective as a quadratic in x.
 
-    The depth term is exact. The landmark term is the Gauss-Newton
-    linearization of the reprojection residual at `x_lin`. Raises
-    NoDataError when there are neither correspondences nor landmarks.
+    The form is ||r + a (x - x_lin)||^2 for the weighted residual rows r
+    at `x_lin` and a = dr/dx: exact for the depth term, the Gauss-Newton
+    linearization at `x_lin` for the landmark term. Raises NoDataError
+    when there are neither correspondences nor landmarks.
     """
     n = model.n
     x_lin = np.asarray(x_lin, dtype=float)
@@ -171,43 +200,16 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
     n_land = 0 if landmarks is None else len(landmarks)
     if len(corrs) == 0 and n_land == 0:
         raise NoDataError("no depth correspondences and no landmarks")
-
-    H = np.zeros((n, n))
-    g = np.zeros(n)
-    c = 0.0
-    rot = quat_to_matrix(pose.rotation)
-
-    if len(corrs) > 0:
-        vidx = corrs.vertex_indices
-        nrm = corrs.normals                                   # (M, 3)
-        # rotated basis displacements restricted to matched vertices
-        rb = np.einsum("rc,kmc->kmr", rot, model.basis[:, vidx, :])   # (n, M, 3)
-        a = np.einsum("mr,kmr->mk", nrm, rb)                  # (M, n)
-        base = model.neutral.vertices[vidx] @ rot.T + pose.translation
-        d = np.einsum("mr,mr->m", nrm, base - corrs.points)   # (M,)
-        H += 2.0 * cfg.w_d * (a.T @ a)
-        g += 2.0 * cfg.w_d * (a.T @ d)
-        c += cfg.w_d * float(d @ d)
-
     if n_land > 0:
-        if intr is None:
-            raise ValueError("landmark terms require camera intrinsics")
         landmarks.check_vertices(model.vertex_count)
-        verts = pose.apply(evaluate_mesh(model, x_lin).vertices)
-        conf = landmarks.confidences
-        for j in range(n_land):
-            vj = landmarks.vertex_indices[j]
-            v_cam = verts[vj]
-            jac = landmark_jacobian(v_cam, intr)              # (2, 3)
-            gj = jac @ (rot @ model.basis[:, vj, :].T)        # (2, n)
-            r0 = project(intr, v_cam) - landmarks.pixels[j]
-            h = r0 - gj @ x_lin
-            w = cfg.w_l * conf[j]
-            H += 2.0 * w * (gj.T @ gj)
-            g += 2.0 * w * (gj.T @ h)
-            c += w * float(h @ h)
 
-    return QuadraticForm(H, g, c)
+    rot = quat_to_matrix(pose.rotation)
+    verts_cam = pose.apply(evaluate_mesh(model, x_lin).vertices)
+    idx, grad, r = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
+    # n . (R b) = (R^T n) . b: rotate the m gradients, not the basis
+    a = np.einsum("mc,kmc->mk", grad @ rot, model.basis[:, idx, :])    # (m, n)
+    h = r - a @ x_lin
+    return QuadraticForm(2.0 * (a.T @ a), 2.0 * (a.T @ h), float(h @ h))
 
 
 def _soft(rho: float, lam: float) -> float:
@@ -275,17 +277,8 @@ def _objective_on(verts_model, pose, x, corrs: CorrespondenceSet,
                   landmarks, intr, cfg: SolverConfig) -> float:
     """Joint objective at (pose, x) for fixed model-space vertices and a
     frozen correspondence set."""
-    verts = pose.apply(verts_model)
-    total = cfg.w_r * float(np.sum(np.abs(x)))
-    if len(corrs) > 0:
-        r = corrs.residuals(verts)
-        total += cfg.w_d * float(r @ r)
-    if landmarks is not None and len(landmarks) > 0:
-        if intr is None:
-            raise ValueError("landmark terms require camera intrinsics")
-        res = project(intr, verts[landmarks.vertex_indices]) - landmarks.pixels
-        total += cfg.w_l * float(np.sum(landmarks.confidences * np.sum(res * res, axis=1)))
-    return total
+    _, _, r = _residual_rows(pose.apply(verts_model), corrs, landmarks, intr, cfg)
+    return float(r @ r) + cfg.w_r * float(np.sum(np.abs(x)))
 
 
 def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
@@ -297,39 +290,18 @@ def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
                          corrs, landmarks, intr, cfg)
 
 
-def _skew(v) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
-
-
 def _pose_step(verts_model, pose, x, corrs, landmarks, intr,
                cfg: SolverConfig, f_cur: float):
     """One Gauss-Newton twist step on the pose against the full
-    objective, on a frozen correspondence set: the shared point-to-plane
-    step with weighted landmark rows appended. Keeps the old pose when
-    every halved step increases the objective or the normal equations
-    are singular."""
+    objective, on a frozen correspondence set: the shared step on the
+    twist rows of every weighted residual. Keeps the old pose when every
+    halved step increases the objective or the normal equations are
+    singular."""
     verts_cam = pose.apply(verts_model)
-    rows_j = []
-    rows_r = []
-    if len(corrs) > 0:
-        jac, r = point_to_plane_rows(verts_cam, corrs)
-        sw = np.sqrt(cfg.w_d)
-        rows_j.append(sw * jac)
-        rows_r.append(sw * r)
-    if landmarks is not None and len(landmarks) > 0:
-        for j in range(len(landmarks)):
-            vj = verts_cam[landmarks.vertex_indices[j]]
-            jac = landmark_jacobian(vj, intr)                 # (2, 3)
-            # left twist: dv/domega = -[v]x, dv/dtau = identity
-            jp = np.concatenate([jac @ (-_skew(vj)), jac], axis=1)
-            sw = np.sqrt(cfg.w_l * landmarks.confidences[j])
-            rows_j.append(sw * jp)
-            rows_r.append(sw * (project(intr, vj) - landmarks.pixels[j]))
+    idx, grad, r = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
     try:
         pose, f_cur, _, _ = pose_step(
-            pose, np.concatenate(rows_j, axis=0), np.concatenate(rows_r), f_cur,
+            pose, twist_rows(verts_cam[idx], grad), r, f_cur,
             lambda cand: _objective_on(verts_model, cand, x, corrs, landmarks,
                                        intr, cfg))
     except DegenerateGeometryError:

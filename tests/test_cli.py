@@ -154,13 +154,14 @@ def test_untrackable_dataset_exits_2(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("vertex", [99999, -1])
+@pytest.mark.parametrize("vertex", [99999, -1, pytest.param(None, id="non-object")])
 def test_track_rejects_bad_landmark_vertex(workspace, tmp_path, capsys, vertex):
     ds = tmp_path / "ds"
     shutil.copytree(workspace / "ds", ds)
     lm_path = ds / "landmarks_0001.json"
     doc = json.loads(lm_path.read_text())
-    doc["points"][0]["vertex"] = vertex
+    # None stands for a point that is not a JSON object at all
+    doc["points"][0] = 7 if vertex is None else dict(doc["points"][0], vertex=vertex)
     lm_path.write_text(json.dumps(doc))
     rc = main(["track", "--model", "testhead",
                "--dataset", str(ds / "manifest.json"),
@@ -168,6 +169,7 @@ def test_track_rejects_bad_landmark_vertex(workspace, tmp_path, capsys, vertex):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("blendfit track: error:")
+    assert "landmarks_0001.json" in err
     assert "Traceback" not in err
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blendfit import (
+    BehindCameraError,
     CameraIntrinsics,
     CorrespondenceSet,
     DepthFrame,
@@ -97,17 +98,17 @@ def _one_plane(point, normal):
     return CorrespondenceSet([0], [point], [normal])
 
 
-def test_depth_residual_zero_at_target():
+def test_plane_residual_zero_at_target():
     corr = _one_plane((0.1, 0.2, 1.0), (0.0, 0.0, -1.0))
     assert corr.residuals(np.array([[0.1, 0.2, 1.0]]))[0] == 0.0
 
 
-def test_depth_residual_ignores_tangential_slide():
+def test_plane_residual_ignores_tangential_slide():
     corr = _one_plane((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
     assert corr.residuals(np.array([[0.25, -0.4, 1.0]]))[0] == 0.0
 
 
-def test_depth_residual_along_normal():
+def test_plane_residual_along_normal():
     rng = np.random.default_rng(3)
     n = rng.normal(size=(20, 3))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
@@ -121,20 +122,20 @@ def test_depth_residual_along_normal():
     np.testing.assert_allclose(r, d, rtol=0, atol=1e-12)
 
 
-def test_landmark_residual_exact_hit(intr):
+def test_project_hits_backprojected_pixel(intr):
     u = np.array([200.25, 90.5])
     v = backproject(intr, u[0], u[1], 0.8)
     np.testing.assert_allclose(project(intr, v), u, rtol=0, atol=1e-9)
 
 
-def test_landmark_residual_three_four_five(intr):
+def test_reprojection_error_three_four_five(intr):
     v = np.array([0.0, 0.0, 1.0])
     u = project(intr, v) + np.array([3.0, 4.0])
     r = project(intr, v) - u
     assert abs(float(r @ r) - 25.0) < 1e-12
 
 
-def test_landmark_residual_matches_direct_recomputation(intr):
+def test_project_matches_direct_recomputation(intr):
     rng = np.random.default_rng(4)
     for _ in range(100):
         v = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
@@ -165,9 +166,10 @@ def test_jacobian_entry_scales_inverse_depth(intr):
 def test_jacobian_matches_central_differences(intr):
     rng = np.random.default_rng(5)
     h = 1e-6
-    for _ in range(200):
-        v = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
-                      rng.uniform(0.3, 2.0)])
+    points = np.column_stack([rng.uniform(-0.3, 0.3, 200), rng.uniform(-0.3, 0.3, 200),
+                              rng.uniform(0.3, 2.0, 200)])
+    singles = []
+    for v in points:
         jac = landmark_jacobian(v, intr)
         fd = np.empty((2, 3))
         for a in range(3):
@@ -176,6 +178,18 @@ def test_jacobian_matches_central_differences(intr):
             fd[:, a] = (project(intr, v + e) - project(intr, v - e)) / (2 * h)
         rel = np.abs(jac - fd) / max(1.0, np.abs(fd).max())
         assert rel.max() < 1e-4
+        singles.append(jac)
+    batch = landmark_jacobian(points, intr)
+    assert batch.shape == (200, 2, 3)
+    np.testing.assert_array_equal(batch, np.array(singles))
+
+
+def test_jacobian_rejects_points_behind_camera(intr):
+    with pytest.raises(BehindCameraError):
+        landmark_jacobian((0.1, 0.0, 0.0), intr)
+    batch = np.array([[0.0, 0.0, 1.0], [0.1, 0.1, -0.5], [0.0, 0.1, 2.0]])
+    with pytest.raises(BehindCameraError):
+        landmark_jacobian(batch, intr)
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,12 @@ def test_evaluate_mesh_rejects_wrong_length():
 # ---------------------------------------------------------------------------
 # rigid poses
 
-def test_transform_point_identity():
+def test_pose_apply_identity():
     p = RigidPose.identity().apply((1.0, 2.0, 3.0))
     np.testing.assert_array_equal(p, [1.0, 2.0, 3.0])
 
 
-def test_transform_point_half_turn_about_z():
+def test_pose_apply_half_turn_about_z():
     pose = RigidPose.from_axis_angle((0, 0, 1), np.pi)
     np.testing.assert_allclose(pose.apply((1, 0, 0)), [-1, 0, 0], atol=1e-12)
 

@@ -282,6 +282,25 @@ def test_landmarks_unknown_field_rejected(tmp_path):
         read_landmarks(path)
 
 
+_LM_POINT = {"id": "nose", "vertex": 3, "u": 10.0, "v": 20.0}
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"points": [_LM_POINT, 1]}, "points[1]"),
+    ({"points": [dict(_LM_POINT, u=None)]}, "points[0]"),
+    ({"points": [dict(_LM_POINT, vertex="x")]}, "points[0]"),
+    ({"points": [dict(_LM_POINT, vertex=3.7)]}, "points[0]"),
+    ({"points": [_LM_POINT], "image_size": [320]}, "image_size"),
+], ids=["non-object", "null-u", "string-vertex", "fractional-vertex",
+        "short-image-size"])
+def test_landmarks_malformed_point_rejected(tmp_path, doc, where):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"format": "landmarks", "version": 1, **doc}))
+    with pytest.raises(FormatError) as err:
+        read_landmarks(path)
+    assert str(path) in str(err.value) and where in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # viseme tables (text)
 

@@ -23,6 +23,9 @@ from blendfit import (
     solve_l1_box,
     track_sequence,
 )
+from blendfit.geometry import apply_twist
+from blendfit.icp import twist_rows
+from blendfit.solver import _residual_rows
 from blendfit.synth import (
     NoiseConfig,
     constant_script,
@@ -131,6 +134,60 @@ def test_assembled_value_matches_direct_residuals(scene, head, intr):
         dv = intr.fy * y / z + intr.cy - px[1]
         direct += cfg.w_l * conf * (du * du + dv * dv)
     assert abs(q.value(x_lin) - direct) <= 1e-8 * max(1.0, abs(direct))
+
+
+@pytest.fixture(scope="module")
+def turned_scene(head, head_landmark_ids, intr):
+    """A frame of the head at a turned, shifted pose, with depth matches
+    and landmarks gathered at a random coefficient vector x_lin."""
+    rng = np.random.default_rng(11)
+    pose = RigidPose.from_axis_angle((0.3, -1.0, 0.2), np.deg2rad(12.0),
+                                     (0.01, -0.005, 0.5))
+    gen = generate_sequence(head, constant_script(sparse_coefficients(head.n, rng), pose, 1),
+                            intr, head_landmark_ids, NoiseConfig())
+    x_lin = rng.uniform(0, 0.5, head.n)
+    corrs = find_correspondences(pose.apply(evaluate_mesh(head, x_lin).vertices),
+                                 gen.frames[0], intr, SolverConfig().gates)
+    assert len(corrs) > 500
+    return pose, x_lin, corrs, gen.landmarks[0]
+
+
+def _central_gradient(f, x0, h):
+    grad = np.empty(len(x0))
+    for k in range(len(x0)):
+        e = np.zeros(len(x0))
+        e[k] = h
+        grad[k] = (f(x0 + e) - f(x0 - e)) / (2 * h)
+    return grad
+
+
+def test_quadratic_gradient_matches_objective(turned_scene, head, intr):
+    pose, x_lin, corrs, landmarks = turned_scene
+    cfg = SolverConfig()
+    q = assemble_quadratic(head, pose, corrs, landmarks, intr, x_lin, cfg)
+
+    def smooth(x):
+        return (evaluate_objective(head, pose, x, corrs, landmarks, intr, cfg)
+                - cfg.w_r * np.sum(np.abs(x)))
+
+    fd = _central_gradient(smooth, x_lin, 1e-6)
+    err = np.abs(q.H @ x_lin + q.g - fd).max()
+    assert err <= 1e-6 * np.abs(fd).max()
+
+
+def test_pose_rows_match_objective_under_twist(turned_scene, head, intr):
+    pose, x, corrs, landmarks = turned_scene
+    cfg = SolverConfig()
+    verts_cam = pose.apply(evaluate_mesh(head, x).vertices)
+    idx, grad, r = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
+    analytic = 2.0 * twist_rows(verts_cam[idx], grad).T @ r
+
+    def under_twist(xi):
+        return evaluate_objective(head, apply_twist(pose, xi[:3], xi[3:]), x,
+                                  corrs, landmarks, intr, cfg)
+
+    fd = _central_gradient(under_twist, np.zeros(6), 1e-6)
+    assert np.abs(analytic - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 # ---------------------------------------------------------------------------

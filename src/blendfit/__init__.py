@@ -42,7 +42,6 @@ from .geometry import (
 )
 from .icp import (
     DegenerateGeometryError,
-    IcpConfig,
     IcpDiagnostics,
     InsufficientDataError,
     align_rigid,

@@ -10,6 +10,13 @@ point-to-plane ICP with projective association on that step: every
 candidate pose is scored by its mean squared error on matches gathered
 afresh under it, so the accepted error trace is non-increasing even on
 noisy data.
+
+ICP settings are module constants: at most 30 iterations
+(`_MAX_ITERATIONS`), converged once a step moves less than 0.01 degrees
+(`_ROTATION_EPSILON`) and 1e-5 m (`_TRANSLATION_EPSILON`), at least 6
+matches per pose (`_MIN_CORRESPONDENCES`, the six degrees of freedom),
+matches gated at 5 cm (`_GATES`). `initial_pose_from_depth` needs 50
+valid depth pixels (`_MIN_DEPTH_PIXELS`).
 """
 
 from __future__ import annotations
@@ -23,6 +30,12 @@ from .geometry import CameraIntrinsics, Mesh, RigidPose, apply_twist
 
 _MAX_HALVINGS = 4
 _COND_LIMIT = 1e12
+_MAX_ITERATIONS = 30
+_TRANSLATION_EPSILON = 1e-5     # meters
+_ROTATION_EPSILON = 0.01        # degrees
+_MIN_CORRESPONDENCES = 6
+_GATES = GateConfig(max_point_distance=0.05)
+_MIN_DEPTH_PIXELS = 50
 
 
 class InsufficientDataError(RuntimeError):
@@ -31,24 +44,6 @@ class InsufficientDataError(RuntimeError):
 
 class DegenerateGeometryError(RuntimeError):
     """The 6x6 point-to-plane system is singular (e.g. a single plane)."""
-
-
-@dataclass(frozen=True)
-class IcpConfig:
-    max_iterations: int = 30
-    translation_epsilon: float = 1e-5             # meters
-    rotation_epsilon: float = 0.01                # degrees
-    gates: GateConfig = field(
-        default_factory=lambda: GateConfig(max_point_distance=0.05))
-    min_correspondences: int = 6
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.translation_epsilon <= 0 or self.rotation_epsilon <= 0:
-            raise ValueError("epsilons must be positive")
-        if self.min_correspondences < 6:
-            raise ValueError("min_correspondences must be >= 6 (6-DOF problem)")
 
 
 @dataclass
@@ -96,21 +91,20 @@ def pose_step(pose: RigidPose, jac, res, f_cur: float, evaluate):
 
 
 def initial_pose_from_depth(mesh: Mesh, frame: DepthFrame,
-                            intr: CameraIntrinsics,
-                            min_pixels: int = 50) -> RigidPose:
+                            intr: CameraIntrinsics) -> RigidPose:
     """Coarse pose guess: translate the mesh centroid onto the centroid
     of the observed depth cloud, identity rotation.
 
     Good enough to seed ICP for roughly frontal captures. Raises
-    InsufficientDataError when the frame has fewer than min_pixels valid
-    depth values.
+    InsufficientDataError when the frame has fewer than 50 valid depth
+    values.
     """
     from .geometry import backproject
 
     mask = frame.valid_mask()
-    if int(mask.sum()) < min_pixels:
+    if int(mask.sum()) < _MIN_DEPTH_PIXELS:
         raise InsufficientDataError(
-            f"{int(mask.sum())} valid depth pixels < required {min_pixels}")
+            f"{int(mask.sum())} valid depth pixels < required {_MIN_DEPTH_PIXELS}")
     rows, cols = np.nonzero(mask)
     cloud = backproject(intr, cols + 0.5, rows + 0.5,
                         frame.values[rows, cols].astype(np.float64))
@@ -119,15 +113,13 @@ def initial_pose_from_depth(mesh: Mesh, frame: DepthFrame,
 
 
 def align_rigid(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
-                init: RigidPose, cfg: IcpConfig | None = None
-                ) -> tuple[RigidPose, IcpDiagnostics]:
+                init: RigidPose) -> tuple[RigidPose, IcpDiagnostics]:
     """Point-to-plane ICP from `init`; returns the refined pose and diagnostics.
 
-    Raises InsufficientDataError when fewer than min_correspondences
-    vertices match at `init` (a candidate pose with fewer is rejected),
+    Raises InsufficientDataError when fewer than 6 vertices match at
+    `init` (a candidate pose with fewer is rejected),
     DegenerateGeometryError when the normal equations are singular.
     """
-    cfg = cfg or IcpConfig()
     if mesh.vertex_count == 0:
         raise InsufficientDataError("empty mesh")
 
@@ -136,8 +128,8 @@ def align_rigid(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
     def mean_sq_error(cand):
         nonlocal matched
         verts = cand.apply(mesh.vertices)
-        matched = verts, find_correspondences(verts, frame, intr, cfg.gates)
-        if len(matched[1]) < cfg.min_correspondences:
+        matched = verts, find_correspondences(verts, frame, intr, _GATES)
+        if len(matched[1]) < _MIN_CORRESPONDENCES:
             return None
         r = matched[1].residuals(verts)
         return float(np.mean(r * r))
@@ -147,10 +139,10 @@ def align_rigid(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
     verts_cam, corrs = matched
     if err is None:
         raise InsufficientDataError(
-            f"{len(corrs)} correspondences < required {cfg.min_correspondences}")
+            f"{len(corrs)} correspondences < required {_MIN_CORRESPONDENCES}")
 
     diag = IcpDiagnostics()
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         diag.iterations += 1
         diag.correspondence_counts.append(len(corrs))
         diag.mean_errors.append(err)
@@ -162,8 +154,8 @@ def align_rigid(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
         if twist is None:
             break
         verts_cam, corrs = matched   # the accepted candidate was scored last
-        if np.linalg.norm(twist[:3]) < np.deg2rad(cfg.rotation_epsilon) and \
-           np.linalg.norm(twist[3:]) < cfg.translation_epsilon:
+        if np.linalg.norm(twist[:3]) < np.deg2rad(_ROTATION_EPSILON) and \
+           np.linalg.norm(twist[3:]) < _TRANSLATION_EPSILON:
             diag.converged = True
             break
 

@@ -308,25 +308,12 @@ def read_landmarks(path) -> LandmarkSet:
         raise FormatError(f"{path}: 'points' must be a list")
     ids, vids, px, conf = [], [], [], []
     for i, p in enumerate(points):
-        if not isinstance(p, dict):
-            raise FormatError(f"{path}: points[{i}] must be an object")
-        unknown = set(p) - _LM_POINT_KEYS
-        if unknown:
-            raise FormatError(
-                f"{path}: points[{i}] has unknown fields {sorted(unknown)}")
-        try:
-            ids.append(str(p["id"]))
-            vertex = p["vertex"]
-            px.append([float(p["u"]), float(p["v"])])
-            conf.append(float(p.get("confidence", 1.0)))
-        except KeyError as exc:
-            raise FormatError(f"{path}: points[{i}] missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: points[{i}] has a bad number ({exc})") from None
-        if type(vertex) is not int:
-            raise FormatError(
-                f"{path}: points[{i}] vertex must be an integer, got {vertex!r}")
-        vids.append(vertex)
+        where = f"{path}: points[{i}]"
+        _fields(p, where, _LM_POINT_KEYS, required=("id", "vertex", "u", "v"))
+        ids.append(str(p["id"]))
+        vids.append(_integer(p["vertex"], f"{where} vertex"))
+        px.append([_number(p["u"], f"{where} u"), _number(p["v"], f"{where} v")])
+        conf.append(_number(p.get("confidence", 1.0), f"{where} confidence"))
     image_size = doc.get("image_size")
     if image_size is not None:
         if not (isinstance(image_size, list) and len(image_size) == 2
@@ -336,11 +323,8 @@ def read_landmarks(path) -> LandmarkSet:
         image_size = tuple(image_size)
     if not ids:
         return LandmarkSet.empty()
-    try:
-        return LandmarkSet(tuple(ids), np.array(vids, dtype=np.int64),
-                           np.array(px), np.array(conf), image_size=image_size)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _construct(str(path), LandmarkSet, tuple(ids), np.array(vids, dtype=np.int64),
+                      np.array(px), np.array(conf), image_size=image_size)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +451,6 @@ class DatasetManifest:
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
     base = Path(path).parent
-    cam = manifest.camera
 
     def rel(p):
         # stored paths are manifest-relative; fall back to absolute for
@@ -486,8 +469,7 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
         frames.append(entry)
     doc = {
         "format": _MANIFEST_FORMAT, "version": _MANIFEST_VERSION,
-        "camera": {"fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-                   "width": cam.width, "height": cam.height},
+        "camera": _camera_doc(manifest.camera),
         "frames": frames,
     }
     if manifest.ground_truth is not None:
@@ -506,53 +488,43 @@ def read_manifest(path) -> DatasetManifest:
     doc = _read_json(path, _MANIFEST_FORMAT, _MANIFEST_VERSION,
                      allowed={"format", "version", "camera", "frames",
                               "ground_truth", "seed", "noise"})
-    cam_doc = doc.get("camera")
-    if not isinstance(cam_doc, dict):
-        raise FormatError(f"{path}: missing camera block")
-    unknown = set(cam_doc) - {"fx", "fy", "cx", "cy", "width", "height"}
-    if unknown:
-        raise FormatError(f"{path}: camera has unknown fields {sorted(unknown)}")
-    try:
-        cam = CameraIntrinsics(fx=float(cam_doc["fx"]), fy=float(cam_doc["fy"]),
-                               cx=float(cam_doc["cx"]), cy=float(cam_doc["cy"]),
-                               width=int(cam_doc["width"]), height=int(cam_doc["height"]))
-    except KeyError as exc:
-        raise FormatError(f"{path}: camera missing field {exc}") from None
+    cam = _read_camera(doc.get("camera"), f"{path}: camera")
 
+    entries = doc.get("frames", [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: 'frames' must be a list")
     frames = []
-    for i, entry in enumerate(doc.get("frames", [])):
-        unknown = set(entry) - {"depth", "timestamp", "landmarks"}
-        if unknown:
-            raise FormatError(f"{path}: frames[{i}] has unknown fields {sorted(unknown)}")
-        try:
-            depth = base / entry["depth"]
-            ts = float(entry["timestamp"])
-        except KeyError as exc:
-            raise FormatError(f"{path}: frames[{i}] missing field {exc}") from None
-        lm = base / entry["landmarks"] if "landmarks" in entry else None
+    for i, entry in enumerate(entries):
+        where = f"{path}: frames[{i}]"
+        _fields(entry, where, {"depth", "timestamp", "landmarks"},
+                required=("depth", "timestamp"))
+        depth = _file(base, entry["depth"], f"{where} depth")
+        ts = _number(entry["timestamp"], f"{where} timestamp")
+        lm = _file(base, entry["landmarks"], f"{where} landmarks") \
+            if "landmarks" in entry else None
         if not depth.is_file():
-            raise FormatError(f"{path}: frames[{i}] depth file {depth} does not exist")
+            raise FormatError(f"{where} depth file {depth} does not exist")
         if lm is not None and not lm.is_file():
-            raise FormatError(f"{path}: frames[{i}] landmark file {lm} does not exist")
+            raise FormatError(f"{where} landmark file {lm} does not exist")
         frames.append(FrameEntry(depth_path=depth, timestamp=ts, landmarks_path=lm))
 
     gt = None
     if "ground_truth" in doc:
-        gt = base / doc["ground_truth"]
+        gt = _file(base, doc["ground_truth"], f"{path}: ground_truth")
         if not gt.is_file():
             raise FormatError(f"{path}: ground truth file {gt} does not exist")
+    seed = doc.get("seed")
+    if seed is not None:
+        _integer(seed, f"{path}: seed")
     noise = None
     if "noise" in doc:
-        nd = doc["noise"]
-        unknown = set(nd) - {"depth_sigma", "landmark_sigma", "landmark_dropout"}
-        if unknown:
-            raise FormatError(f"{path}: noise has unknown fields {sorted(unknown)}")
-        noise = NoiseConfig(depth_sigma=float(nd.get("depth_sigma", 0.0)),
-                            landmark_sigma=float(nd.get("landmark_sigma", 0.0)),
-                            landmark_dropout=float(nd.get("landmark_dropout", 0.0)),
-                            seed=int(doc.get("seed", 0)))
-    return DatasetManifest(camera=cam, frames=tuple(frames), ground_truth=gt,
-                           seed=doc.get("seed"), noise=noise)
+        nd = _fields(doc["noise"], f"{path}: noise",
+                     {"depth_sigma", "landmark_sigma", "landmark_dropout"})
+        noise = _construct(f"{path}: noise", NoiseConfig,
+                           **{k: _number(v, f"{path}: noise {k}") for k, v in nd.items()},
+                           seed=seed or 0)
+    return _construct(str(path), DatasetManifest, camera=cam, frames=tuple(frames),
+                      ground_truth=gt, seed=seed, noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +553,7 @@ def write_examples(dir_path, examples) -> None:
             lm_name = f"landmarks_{i:02d}.json"
             write_landmarks(base / lm_name, ex.landmarks)
             entry["landmarks"] = lm_name
-            cam = ex.camera
-            entry["camera"] = {"fx": cam.fx, "fy": cam.fy, "cx": cam.cx,
-                               "cy": cam.cy, "width": cam.width, "height": cam.height}
+            entry["camera"] = _camera_doc(ex.camera)
             entry["pose"] = {"rotation": [float(v) for v in ex.pose.rotation],
                              "translation": [float(v) for v in ex.pose.translation]}
         entries.append(entry)
@@ -602,35 +572,32 @@ def read_examples(dir_path) -> list:
         raise FormatError(f"{index}: examples index not found")
     doc = _read_json(index, _EXAMPLES_FORMAT, _EXAMPLES_VERSION,
                      allowed={"format", "version", "examples"})
+    entries = doc.get("examples", [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{index}: 'examples' must be a list")
     out = []
-    for i, entry in enumerate(doc.get("examples", [])):
-        unknown = set(entry) - {"scan", "activation", "landmarks", "camera", "pose"}
-        if unknown:
-            raise FormatError(f"{index}: examples[{i}] has unknown fields {sorted(unknown)}")
-        try:
-            scan = read_mesh(base / entry["scan"])
-            activation = np.array([float(v) for v in entry["activation"]])
-        except KeyError as exc:
-            raise FormatError(f"{index}: examples[{i}] missing field {exc}") from None
+    for i, entry in enumerate(entries):
+        where = f"{index}: examples[{i}]"
+        _fields(entry, where, {"scan", "activation", "landmarks", "camera", "pose"},
+                required=("scan", "activation"))
+        scan = read_mesh(_file(base, entry["scan"], f"{where} scan"))
+        activation = _numbers(entry["activation"], f"{where} activation")
         lms = camera = pose = None
         if "landmarks" in entry:
-            lms = read_landmarks(base / entry["landmarks"])
-            cam_doc = entry.get("camera")
-            pose_doc = entry.get("pose")
-            if cam_doc is None or pose_doc is None:
-                raise FormatError(
-                    f"{index}: examples[{i}] has landmarks but no camera/pose")
-            camera = CameraIntrinsics(fx=float(cam_doc["fx"]), fy=float(cam_doc["fy"]),
-                                      cx=float(cam_doc["cx"]), cy=float(cam_doc["cy"]),
-                                      width=int(cam_doc["width"]),
-                                      height=int(cam_doc["height"]))
-            pose = RigidPose(np.array([float(v) for v in pose_doc["rotation"]]),
-                             np.array([float(v) for v in pose_doc["translation"]]))
-        try:
-            out.append(ExampleExpression(scan=scan, activation=activation,
-                                         landmarks=lms, camera=camera, pose=pose))
-        except ValueError as exc:
-            raise FormatError(f"{index}: examples[{i}]: {exc}") from exc
+            lms = read_landmarks(_file(base, entry["landmarks"], f"{where} landmarks"))
+            if "camera" not in entry or "pose" not in entry:
+                raise FormatError(f"{where} has landmarks but no camera/pose")
+            camera = _read_camera(entry["camera"], f"{where} camera")
+            pose_doc = _fields(entry["pose"], f"{where} pose",
+                               {"rotation", "translation"},
+                               required=("rotation", "translation"))
+            pose = _construct(f"{where} pose", RigidPose,
+                              _numbers(pose_doc["rotation"], f"{where} pose rotation"),
+                              _numbers(pose_doc["translation"],
+                                       f"{where} pose translation"))
+        out.append(_construct(where, ExampleExpression, scan=scan,
+                              activation=activation, landmarks=lms,
+                              camera=camera, pose=pose))
     return out
 
 
@@ -655,7 +622,66 @@ def _read_json(path, expected_format: str, expected_version: int, allowed: set) 
     if doc.get("version") != expected_version:
         raise FormatError(
             f"{path}: unsupported version {doc.get('version')!r}")
+    return _fields(doc, f"{path}: top level", allowed)
+
+
+def _fields(doc, where: str, allowed: set, required=()) -> dict:
+    """`doc` checked to be a JSON object with only `allowed` keys and
+    every `required` one."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where} must be an object, got {doc!r}")
     unknown = set(doc) - allowed
     if unknown:
-        raise FormatError(f"{path}: unknown fields {sorted(unknown)}")
+        raise FormatError(f"{where} has unknown fields {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise FormatError(f"{where} missing field {key!r}")
     return doc
+
+
+def _number(value, where: str) -> float:
+    # bool is an int subclass, but JSON true/false is not a number
+    if type(value) not in (int, float):
+        raise FormatError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is not int:
+        raise FormatError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _numbers(values, where: str) -> np.ndarray:
+    if not isinstance(values, list):
+        raise FormatError(f"{where} must be a list of numbers, got {values!r}")
+    return np.array([_number(v, f"{where}[{k}]") for k, v in enumerate(values)])
+
+
+def _file(base: Path, value, where: str) -> Path:
+    if not isinstance(value, str):
+        raise FormatError(f"{where} must be a path string, got {value!r}")
+    return base / value
+
+
+def _construct(where: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), with the ValueError its validation raises
+    reported as a FormatError at `where`."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+_CAMERA_KEYS = ("fx", "fy", "cx", "cy", "width", "height")
+
+
+def _camera_doc(cam: CameraIntrinsics) -> dict:
+    return {key: getattr(cam, key) for key in _CAMERA_KEYS}
+
+
+def _read_camera(doc, where: str) -> CameraIntrinsics:
+    _fields(doc, where, set(_CAMERA_KEYS), required=_CAMERA_KEYS)
+    return _construct(where, CameraIntrinsics,
+                      *(_number(doc[k], f"{where} {k}") for k in ("fx", "fy", "cx", "cy")),
+                      *(_integer(doc[k], f"{where} {k}") for k in ("width", "height")))

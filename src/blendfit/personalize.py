@@ -35,6 +35,7 @@ from .geometry import (
 log = logging.getLogger(__name__)
 
 _MAX_HALVINGS = 4
+_MAX_GN_ITERATIONS = 5
 
 
 class RankDeficiencyError(RuntimeError):
@@ -67,13 +68,10 @@ class ExampleExpression:
 class PersonalizeConfig:
     basis_regularization: float = 1e-3
     landmark_weight: float = 10.0
-    max_gn_iterations: int = 5
 
     def __post_init__(self):
         if self.basis_regularization < 0 or self.landmark_weight < 0:
             raise ValueError("weights must be non-negative")
-        if self.max_gn_iterations < 1:
-            raise ValueError("max_gn_iterations must be >= 1")
 
 
 def _landmark_objective(example: ExampleExpression, b0_v, basis_v, vj) -> float:
@@ -173,7 +171,7 @@ def _solve_constrained_vertex(generic, examples, cfg, b0_v, basis_v, vj,
 
     cur = basis_v
     f_cur = _vertex_objective(examples, cfg, b0_v, cur, generic_slice, vj)
-    for _ in range(cfg.max_gn_iterations):
+    for _ in range(_MAX_GN_ITERATIONS):
         a = a_const.copy()
         rhs = rhs_const.copy()
         for ex in examples:

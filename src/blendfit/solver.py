@@ -34,7 +34,7 @@ is non-increasing.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +60,8 @@ from .geometry import (
     quat_to_matrix,
 )
 from .icp import (
+    _MAX_HALVINGS,
     DegenerateGeometryError,
-    IcpConfig,
     InsufficientDataError,
     align_rigid,
     initial_pose_from_depth,
@@ -71,7 +71,8 @@ from .icp import (
 
 log = logging.getLogger(__name__)
 
-_MAX_HALVINGS = 4
+_GATES = GateConfig()
+_SWEEP_TOL = 1e-10
 
 
 class TrackingError(RuntimeError):
@@ -96,8 +97,6 @@ class SolverConfig:
     outer_iterations: int = 10
     gs_sweeps: int = 50
     objective_rel_tol: float = 1e-6
-    gates: GateConfig = field(default_factory=GateConfig)
-    icp: IcpConfig = field(default_factory=IcpConfig)
 
     def __post_init__(self):
         if self.w_d < 0 or self.w_l < 0 or self.w_r < 0:
@@ -221,7 +220,7 @@ def _soft(rho: float, lam: float) -> float:
 
 
 def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
-                 tol: float = 1e-10, record_updates: bool = False):
+                 record_updates: bool = False):
     """Cyclic coordinate descent for min q(x) + w_r ||x||_1 on [0, 1]^n.
 
     Each coordinate update is the exact minimizer of the one-dimensional
@@ -232,7 +231,7 @@ def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
     Returns (x, trace) where trace[0] is the objective at x0 and later
     entries are per-sweep values, or per-coordinate-update values when
     record_updates is set. Stops early once a full sweep moves no
-    coordinate by more than `tol`.
+    coordinate by more than 1e-10.
     """
     n = q.n
     if x0 is None:
@@ -268,7 +267,7 @@ def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
                 trace.append(f())
         if not record_updates:
             trace.append(f())
-        if max_move <= tol:
+        if max_move <= _SWEEP_TOL:
             break
     return x, trace
 
@@ -317,12 +316,12 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
 
     Initialization comes from `init_pose` if given, else from `prev`
     (the previous frame's fit), else a depth-centroid guess followed by
-    rigid pre-alignment of the neutral mesh under `cfg.icp`. Each outer
-    iteration refreshes the depth correspondences, then alternates a
-    Gauss-Newton pose step with a coefficient re-solve on that frozen
-    set until the full objective stalls; every step is halved until it
-    does not increase the objective, so the recorded per-iteration trace
-    is non-increasing. Raises TrackingError when the frame carries no
+    rigid pre-alignment of the neutral mesh. Each outer iteration
+    refreshes the depth correspondences, then alternates a Gauss-Newton
+    pose step with a coefficient re-solve on that frozen set until the
+    full objective stalls; every step is halved until it does not
+    increase the objective, so the recorded per-iteration trace is
+    non-increasing. Raises TrackingError when the frame carries no
     usable data, ValueError when a landmark names a vertex the model
     does not have.
     """
@@ -338,7 +337,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
         pose = RigidPose.identity()
         try:
             pose = initial_pose_from_depth(model.neutral, frame, intr)
-            pose, _ = align_rigid(model.neutral, frame, intr, pose, cfg.icp)
+            pose, _ = align_rigid(model.neutral, frame, intr, pose)
         except (InsufficientDataError, DegenerateGeometryError):
             pass
     x = np.zeros(model.n) if prev is None else np.asarray(prev.x, dtype=float).copy()
@@ -350,7 +349,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
         for _ in range(cfg.outer_iterations):
             mesh = evaluate_mesh(model, x)
             corrs = find_correspondences(pose.apply(mesh.vertices),
-                                         frame, intr, cfg.gates)
+                                         frame, intr, _GATES)
             corr_count = len(corrs)
             if corr_count == 0 and n_land == 0:
                 raise TrackingError("no depth correspondences and no landmarks")

@@ -42,6 +42,9 @@ from .geometry import (
 log = logging.getLogger(__name__)
 
 _Z_NEAR = 1e-6
+_HEAD_GRID = 52             # samples per side of the test head's parameter grid
+_HEAD_BLENDSHAPES = 51
+_HEAD_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -264,9 +267,8 @@ def generate_sequence(model: BlendshapeModel, script: SequenceScript,
 # ---------------------------------------------------------------------------
 # procedural test head
 
-def make_test_head(grid: int = 52, n_blendshapes: int = 51,
-                   seed: int = 0) -> BlendshapeModel:
-    """Procedural face-like blendshape model (~2k vertices by default).
+def make_test_head() -> BlendshapeModel:
+    """Procedural face-like blendshape model (2032 vertices, 51 shapes).
 
     The base mesh is the camera-facing half of an elliptic dome with a
     nose, brow ridge, and chin so the surface constrains all six rigid
@@ -274,13 +276,13 @@ def make_test_head(grid: int = 52, n_blendshapes: int = 51,
     the local surface normal, centers spread over the face interior.
     """
     half_w, half_h = 0.08, 0.11   # face half-extent, meters
-    us = np.linspace(-1.0, 1.0, grid)
-    vs = np.linspace(-1.0, 1.0, grid)
+    us = np.linspace(-1.0, 1.0, _HEAD_GRID)
+    vs = np.linspace(-1.0, 1.0, _HEAD_GRID)
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     rr = uu ** 2 + vv ** 2
     inside = rr <= 1.0
 
-    index = -np.ones((grid, grid), dtype=np.int64)
+    index = -np.ones((_HEAD_GRID, _HEAD_GRID), dtype=np.int64)
     index[inside] = np.arange(int(inside.sum()))
 
     x = uu * half_w
@@ -297,8 +299,8 @@ def make_test_head(grid: int = 52, n_blendshapes: int = 51,
     verts = np.stack([x[inside], y[inside], z[inside]], axis=1)
 
     faces = []
-    for i in range(grid - 1):
-        for j in range(grid - 1):
+    for i in range(_HEAD_GRID - 1):
+        for j in range(_HEAD_GRID - 1):
             a = index[i, j]
             b = index[i + 1, j]
             c = index[i + 1, j + 1]
@@ -315,10 +317,10 @@ def make_test_head(grid: int = 52, n_blendshapes: int = 51,
         mesh = Mesh(verts, mesh.faces[:, ::-1])
         normals = vertex_normals(mesh)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_HEAD_SEED)
     param_r = np.sqrt(rr[inside])
     candidates = np.flatnonzero(param_r <= 0.78)
-    centers = _spread_sample(verts[candidates], n_blendshapes, rng)
+    centers = _spread_sample(verts[candidates], _HEAD_BLENDSHAPES, rng)
     centers = candidates[centers]
 
     # sigma sets the bump footprint; it must stay well below the center
@@ -326,7 +328,7 @@ def make_test_head(grid: int = 52, n_blendshapes: int = 51,
     # too correlated for sparse recovery, and the flank slope amp/sigma
     # must stay shallow enough to survive the view-incidence gate
     sigma = 0.01
-    basis = np.zeros((n_blendshapes, len(verts), 3))
+    basis = np.zeros((_HEAD_BLENDSHAPES, len(verts), 3))
     for k, ci in enumerate(centers):
         amp = rng.uniform(0.012, 0.022)
         d2 = np.sum((verts - verts[ci]) ** 2, axis=1)
@@ -334,7 +336,7 @@ def make_test_head(grid: int = 52, n_blendshapes: int = 51,
         weight[weight < 1e-4] = 0.0
         basis[k] = (amp * weight)[:, None] * normals[ci]
 
-    names = tuple(f"bump{k:02d}" for k in range(n_blendshapes))
+    names = tuple(f"bump{k:02d}" for k in range(_HEAD_BLENDSHAPES))
     return BlendshapeModel(mesh, basis, names)
 
 

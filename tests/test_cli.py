@@ -173,6 +173,22 @@ def test_track_rejects_bad_landmark_vertex(workspace, tmp_path, capsys, vertex):
     assert "Traceback" not in err
 
 
+def test_track_rejects_malformed_manifest(workspace, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace / "ds", ds)
+    manifest = ds / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["frames"] = [1]
+    manifest.write_text(json.dumps(doc))
+    rc = main(["track", "--model", "testhead", "--dataset", str(manifest),
+               "--out", str(tmp_path / "o.bscseq")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("blendfit track: error:")
+    assert str(manifest) in err
+    assert "Traceback" not in err
+
+
 def test_config_file_defaults_with_flag_override(tmp_path):
     model = make_test_head()
     script = tmp_path / "s.bscseq"

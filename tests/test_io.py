@@ -409,12 +409,37 @@ def test_manifest_missing_file_rejected(tmp_path, intr):
         read_manifest(ds / "manifest.json")
 
 
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda d: d.update(frames=[1]), "frames[0]"),
+    (lambda d: d.update(frames="abc"), "'frames'"),
+    (lambda d: d["camera"].update(fx=None), "camera fx"),
+    (lambda d: d.update(noise=3), "noise"),
+    (lambda d: d["frames"][1].update(timestamp=None), "frames[1] timestamp"),
+    (lambda d: d["camera"].update(width=d["camera"]["width"] + 0.5), "camera width"),
+], ids=["non-object-frame", "string-frames", "null-fx", "number-noise",
+        "null-timestamp", "fractional-width"])
+def test_manifest_malformed_entry_rejected(tmp_path, intr, edit, where):
+    ds, manifest = _tiny_dataset(tmp_path, intr)
+    path = ds / "manifest.json"
+    write_manifest(path, manifest)
+    _edit_json(path, edit)
+    with pytest.raises(FormatError) as err:
+        read_manifest(path)
+    assert str(path) in str(err.value) and where in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # example-expression directories
 
-def test_examples_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    model = random_model(rng)
+def _example_dir(tmp_path):
+    """A two-example directory: a neutral scan, then one with a landmark."""
+    model = random_model(np.random.default_rng(5))
     cam = CameraIntrinsics(fx=400.0, fy=400.0, cx=80.0, cy=60.0,
                            width=160, height=120)
     lms = LandmarkSet(("tip",), [2], [[30.0, 40.0]])
@@ -424,7 +449,12 @@ def test_examples_round_trip(tmp_path):
                           landmarks=lms, camera=cam, pose=frontal_pose()),
     ]
     write_examples(tmp_path / "ex", examples)
-    back = read_examples(tmp_path / "ex")
+    return model, tmp_path / "ex"
+
+
+def test_examples_round_trip(tmp_path):
+    model, ex_dir = _example_dir(tmp_path)
+    back = read_examples(ex_dir)
     assert len(back) == 2
     np.testing.assert_allclose(back[0].scan.vertices, model.neutral.vertices,
                                atol=1e-12)
@@ -433,3 +463,17 @@ def test_examples_round_trip(tmp_path):
     assert back[1].camera.fx == 400.0
     np.testing.assert_allclose(back[1].pose.translation,
                                frontal_pose().translation, atol=1e-12)
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda d: d.update(examples=[1]), "examples[0]"),
+    (lambda d: d["examples"][1].update(activation=None), "examples[1] activation"),
+    (lambda d: d["examples"][1]["camera"].pop("fx"), "examples[1] camera missing field 'fx'"),
+], ids=["non-object-example", "null-activation", "camera-without-fx"])
+def test_examples_malformed_entry_rejected(tmp_path, edit, where):
+    _, ex_dir = _example_dir(tmp_path)
+    index = ex_dir / "examples.json"
+    _edit_json(index, edit)
+    with pytest.raises(FormatError) as err:
+        read_examples(ex_dir)
+    assert str(index) in str(err.value) and where in str(err.value)

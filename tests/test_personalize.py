@@ -168,5 +168,3 @@ def test_landmarks_require_camera_and_pose():
 def test_config_validation():
     with pytest.raises(ValueError):
         PersonalizeConfig(basis_regularization=-1.0)
-    with pytest.raises(ValueError):
-        PersonalizeConfig(max_gn_iterations=0)

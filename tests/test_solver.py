@@ -25,7 +25,7 @@ from blendfit import (
 )
 from blendfit.geometry import apply_twist
 from blendfit.icp import twist_rows
-from blendfit.solver import _residual_rows
+from blendfit.solver import _GATES, _residual_rows
 from blendfit.synth import (
     NoiseConfig,
     constant_script,
@@ -96,7 +96,7 @@ def test_assemble_zero_weights_gives_zero_form(scene, head, intr):
     _, frame, landmarks = scene
     pose = frontal_pose()
     verts = pose.apply(evaluate_mesh(head, np.zeros(head.n)).vertices)
-    corrs = find_correspondences(verts, frame, intr, SolverConfig().gates)
+    corrs = find_correspondences(verts, frame, intr, _GATES)
     cfg = SolverConfig(w_d=0.0, w_l=0.0)
     q = assemble_quadratic(head, pose, corrs, landmarks, intr, np.zeros(head.n), cfg)
     assert not q.H.any() and not q.g.any() and q.c == 0.0
@@ -117,7 +117,7 @@ def test_assembled_value_matches_direct_residuals(scene, head, intr):
 
     verts_model = evaluate_mesh(head, x_lin).vertices
     corrs = find_correspondences(pose.apply(verts_model), frame, intr,
-                                 SolverConfig().gates)
+                                 _GATES)
     cfg = SolverConfig()
     q = assemble_quadratic(head, pose, corrs, landmarks, intr, x_lin, cfg)
 
@@ -147,7 +147,7 @@ def turned_scene(head, head_landmark_ids, intr):
                             intr, head_landmark_ids, NoiseConfig())
     x_lin = rng.uniform(0, 0.5, head.n)
     corrs = find_correspondences(pose.apply(evaluate_mesh(head, x_lin).vertices),
-                                 gen.frames[0], intr, SolverConfig().gates)
+                                 gen.frames[0], intr, _GATES)
     assert len(corrs) > 500
     return pose, x_lin, corrs, gen.landmarks[0]
 
@@ -200,8 +200,11 @@ def _separable(t, scale=2.0):
 
 def test_solver_soft_threshold_analytic():
     q = _separable([0.8, 0.8, 0.8])
-    x, _ = solve_l1_box(q, w_r=0.6)
+    x, trace = solve_l1_box(q, w_r=0.6, sweeps=50)
     np.testing.assert_allclose(x, [0.5, 0.5, 0.5], atol=1e-12)
+    # separable: the first sweep lands every coordinate on its optimum and
+    # the second, which moves nothing, ends the solve
+    assert len(trace) == 3
 
 
 def test_solver_full_shrinkage():

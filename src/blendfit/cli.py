@@ -253,6 +253,7 @@ def _build_parser() -> _Parser:
                                  "estimation from depth frames and 2D landmarks.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    parser.commands = sub.choices       # subcommand name -> its parser
 
     def add_config(p):
         p.add_argument("--config", default=None,
@@ -359,8 +360,13 @@ def _build_parser() -> _Parser:
 _DEST_ALIASES = {"lambda": "lambda_"}
 
 
-def _overlay_config(args, argv) -> None:
-    """Apply config-file values for flags not given on the command line."""
+def _overlay_config(args, argv, command: argparse.ArgumentParser) -> None:
+    """Apply config-file values for flags not given on the command line.
+
+    Each value must have the JSON type its flag takes, a number for a
+    numeric flag and a string otherwise, and is converted with the flag's
+    own type as if it had been typed on the command line.
+    """
     if args.config is None:
         return
     try:
@@ -369,15 +375,32 @@ def _overlay_config(args, argv) -> None:
         raise io.FormatError(f"{args.config}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise io.FormatError(f"{args.config}: top level must be a JSON object")
+    flags = {a.dest: a for a in command._actions
+             if a.option_strings and a.dest not in ("help", "config")}
     for key, value in doc.items():
-        dest = _DEST_ALIASES.get(key, key.replace("-", "_"))
-        if dest in ("config", "command", "func") or not hasattr(args, dest):
+        action = flags.get(_DEST_ALIASES.get(key, key.replace("-", "_")))
+        if action is None:
             raise io.FormatError(
                 f"{args.config}: unknown option {key!r} for '{args.command}'")
-        flag = "--" + key.replace("_", "-")
-        if any(a == flag or a.startswith(flag + "=") for a in argv):
+        if any(a.split("=", 1)[0] in action.option_strings for a in argv):
             continue
-        setattr(args, dest, value)
+        setattr(args, action.dest,
+                _config_value(action, value, f"{args.config}: option {key!r}"))
+
+
+def _config_value(action: argparse.Action, value, where: str):
+    if action.type is None:
+        if isinstance(value, str):
+            return value
+        raise io.FormatError(f"{where} must be a string, got {json.dumps(value)}")
+    # bool is an int subclass, but JSON true/false is not a number
+    if type(value) in (int, float):
+        try:
+            return action.type(str(value))
+        except ValueError:
+            pass
+    kind = "an integer" if action.type is int else "a number"
+    raise io.FormatError(f"{where} must be {kind}, got {json.dumps(value)}")
 
 
 def main(argv=None) -> int:
@@ -385,7 +408,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _overlay_config(args, argv)
+        _overlay_config(args, argv, parser.commands[args.command])
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"blendfit {args.command}: error: {exc}", file=sys.stderr)

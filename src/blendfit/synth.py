@@ -6,7 +6,10 @@ conventions are pinned down once:
 
 * pixel (i, j) is sampled at its center (i + 0.5, j + 0.5), top-left origin;
 * rasterization is perspective-correct (screen-space barycentrics with
-  1/z interpolation) into a nearest-wins z-buffer;
+  1/z interpolation) into a nearest-wins z-buffer, evaluated as one
+  batched edge-function pass over (face, pixel) candidate pairs in
+  chunks of bounded size; the z-buffer minimum does not depend on the
+  order faces are drawn, so the depth map does not depend on the chunking;
 * only camera-facing triangles are drawn (back-face culling), mimicking
   what a depth sensor sees;
 * uncovered pixels keep the invalid marker 0.0;
@@ -42,6 +45,7 @@ from .geometry import (
 log = logging.getLogger(__name__)
 
 _Z_NEAR = 1e-6
+_PAIR_CHUNK = 1 << 12       # (face, pixel) candidate pairs per rasterizer pass
 _HEAD_GRID = 52             # samples per side of the test head's parameter grid
 _HEAD_BLENDSHAPES = 51
 _HEAD_SEED = 0
@@ -98,66 +102,80 @@ def constant_script(x, pose: RigidPose, count: int, fps: float = 30.0) -> Sequen
 
 
 def render_depth(mesh: Mesh, pose: RigidPose, intr: CameraIntrinsics) -> DepthFrame:
-    """Software z-buffer rasterization of the posed mesh into a depth frame."""
+    """Software z-buffer rasterization of the posed mesh into a depth frame.
+
+    One batched edge-function pass (Pineda 1988) over every drawable face:
+    each face's clipped pixel bounding box is expanded into (face, pixel)
+    candidate pairs, the barycentrics and perspective-correct depth of all
+    pairs are evaluated element-wise, and the covered pairs are written
+    with an order-independent `np.minimum.at` into the z-buffer. Faces
+    with a corner at or behind the near plane, back faces, faces off
+    screen and faces of zero screen area draw nothing. Pairs are processed in chunks of at
+    most `_PAIR_CHUNK`, a face whose box alone is larger forming its own
+    chunk, so transient memory stays bounded for close-up poses.
+    """
     h, w = intr.height, intr.width
-    zbuf = np.full((h, w), np.inf)
-
-    verts = pose.apply(mesh.vertices)
-    if mesh.face_count == 0 or len(verts) == 0:
+    if mesh.face_count == 0 or mesh.vertex_count == 0:
         return DepthFrame(np.zeros((h, w), dtype=np.float32))
+    uv, zs = _screen_triangles(mesh, pose, intr)
 
-    tris = verts[mesh.faces]                      # (F, 3, 3)
-    zs = tris[:, :, 2]
-    in_front = np.all(zs > _Z_NEAR, axis=1)
+    # pixel-center bounding boxes clipped to the image, as [x, y] pairs
+    size = np.array([w, h])
+    lo = np.clip(np.floor(uv.min(axis=1) - 0.5), 0, size).astype(np.int64)
+    hi = np.clip(np.ceil(uv.max(axis=1) - 0.5), -1, size - 1).astype(np.int64)
+    extent = hi - lo + 1
+    (ax, ay), (bx, by), (cx_, cy_) = uv[:, 0].T, uv[:, 1].T, uv[:, 2].T
+    denom = (bx - ax) * (cy_ - ay) - (by - ay) * (cx_ - ax)
+    keep = np.all(extent > 0, axis=1) & (denom != 0.0)
 
-    normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    centroids = tris.mean(axis=1)
-    facing = np.einsum("ij,ij->i", normals, centroids) < 0.0
+    counts = extent[keep, 0] * extent[keep, 1]
+    ends = np.cumsum(counts)
+    # per-face columns, repeated once per candidate pair of each chunk
+    ints = np.stack([lo[keep, 0], lo[keep, 1], extent[keep, 0], ends - counts])
+    floats = np.stack([ax, ay, bx, by, cx_, cy_, denom, *zs.T])[:, keep]
 
-    drawable = np.flatnonzero(in_front & facing)
-    uv = np.empty_like(tris[:, :, :2])
-    np.divide(intr.fx * tris[:, :, 0], zs, out=uv[:, :, 0], where=zs > _Z_NEAR)
-    np.divide(intr.fy * tris[:, :, 1], zs, out=uv[:, :, 1], where=zs > _Z_NEAR)
-    uv[:, :, 0] += intr.cx
-    uv[:, :, 1] += intr.cy
-
-    for f in drawable:
-        p = uv[f]
-        x0 = int(np.floor(p[:, 0].min() - 0.5))
-        x1 = int(np.ceil(p[:, 0].max() - 0.5))
-        y0 = int(np.floor(p[:, 1].min() - 0.5))
-        y1 = int(np.ceil(p[:, 1].max() - 0.5))
-        x0 = max(x0, 0)
-        y0 = max(y0, 0)
-        x1 = min(x1, w - 1)
-        y1 = min(y1, h - 1)
-        if x1 < x0 or y1 < y0:
-            continue
-
-        px = np.arange(x0, x1 + 1) + 0.5
-        py = np.arange(y0, y1 + 1) + 0.5
-        gx, gy = np.meshgrid(px, py)
-
-        ax, ay = p[0]
-        bx, by = p[1]
-        cx_, cy_ = p[2]
-        denom = (bx - ax) * (cy_ - ay) - (by - ay) * (cx_ - ax)
-        if denom == 0.0:
-            continue
+    zbuf = np.full(h * w, np.inf)
+    start = 0
+    while start < len(counts):
+        first = ends[start] - counts[start]
+        stop = max(int(np.searchsorted(ends, first + _PAIR_CHUNK, side="right")), start + 1)
+        n = counts[start:stop]
+        x0, y0, box_w, offset = np.repeat(ints[:, start:stop], n, axis=1)
+        ax, ay, bx, by, cx_, cy_, denom, z0, z1, z2 = np.repeat(floats[:, start:stop], n, axis=1)
+        row, col = np.divmod(np.arange(first, ends[stop - 1]) - offset, box_w)
+        px = x0 + col
+        py = y0 + row
+        gx = px + 0.5
+        gy = py + 0.5
         l0 = ((bx - gx) * (cy_ - gy) - (by - gy) * (cx_ - gx)) / denom
         l1 = ((cx_ - gx) * (ay - gy) - (cy_ - gy) * (ax - gx)) / denom
         l2 = 1.0 - l0 - l1
-        inside = (l0 >= 0) & (l1 >= 0) & (l2 >= 0)
-        if not inside.any():
-            continue
+        inv_z = l0 / z0 + l1 / z1 + l2 / z2
+        hit = (l0 >= 0) & (l1 >= 0) & (l2 >= 0) & (inv_z > 0)
+        np.minimum.at(zbuf, py[hit] * w + px[hit], 1.0 / inv_z[hit])
+        start = stop
 
-        inv_z = l0 / zs[f, 0] + l1 / zs[f, 1] + l2 / zs[f, 2]
-        z = np.where(inside & (inv_z > 0), 1.0 / np.where(inv_z > 0, inv_z, 1.0), np.inf)
-        tile = zbuf[y0:y1 + 1, x0:x1 + 1]
-        np.minimum(tile, z, out=tile)
-
-    depth = np.where(np.isfinite(zbuf), zbuf, 0.0)
+    depth = np.where(np.isfinite(zbuf), zbuf, 0.0).reshape(h, w)
     return DepthFrame(depth.astype(np.float32))
+
+
+def _screen_triangles(mesh: Mesh, pose: RigidPose,
+                      intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel coordinates (D, 3, 2) and camera depths (D, 3) of the corners
+    of the faces that can draw: in front of the near plane and facing the
+    camera."""
+    tris = pose.apply(mesh.vertices)[mesh.faces]  # (F, 3, 3)
+    zs = tris[:, :, 2]
+    in_front = np.all(zs > _Z_NEAR, axis=1)
+    normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    facing = np.einsum("ij,ij->i", normals, tris.mean(axis=1)) < 0.0
+
+    drawable = np.flatnonzero(in_front & facing)
+    zs = zs[drawable]
+    uv = np.empty((len(drawable), 3, 2))
+    uv[:, :, 0] = intr.fx * tris[drawable, :, 0] / zs + intr.cx
+    uv[:, :, 1] = intr.fy * tris[drawable, :, 1] / zs + intr.cy
+    return uv, zs
 
 
 def add_depth_noise(frame: DepthFrame, sigma: float, rng: np.random.Generator) -> DepthFrame:
@@ -298,18 +316,13 @@ def make_test_head() -> BlendshapeModel:
 
     verts = np.stack([x[inside], y[inside], z[inside]], axis=1)
 
-    faces = []
-    for i in range(_HEAD_GRID - 1):
-        for j in range(_HEAD_GRID - 1):
-            a = index[i, j]
-            b = index[i + 1, j]
-            c = index[i + 1, j + 1]
-            d = index[i, j + 1]
-            if min(a, b, c, d) < 0:
-                continue
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    mesh = Mesh(verts, np.array(faces, dtype=np.int64))
+    # split each grid quad (a, b, c, d) with all corners inside into the
+    # triangles (a, b, c) and (a, c, d), quads in row-major order
+    quads = np.stack([index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]],
+                     axis=-1).reshape(-1, 4)
+    quads = quads[np.all(quads >= 0, axis=1)]
+    faces = np.stack([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]], axis=1).reshape(-1, 3)
+    mesh = Mesh(verts, faces)
 
     # orient faces so vertex normals point toward the camera (-z)
     normals = vertex_normals(mesh)

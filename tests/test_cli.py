@@ -217,6 +217,24 @@ def test_config_unknown_key_exits_1(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [{"width": "64"}, {"noise_depth": None},
+                                 {"seed": 1.5}, {"dropout": True}, {"model": 3}])
+def test_config_rejects_wrongly_typed_value(tmp_path, capsys, doc):
+    model = make_test_head()
+    script = tmp_path / "s.bscseq"
+    _write_script(script, model, [{3: 0.5}])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["synth", "--script", str(script), "--out-dir", str(tmp_path / "d"),
+               "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("blendfit synth: error:")
+    assert str(cfg) in err
+    assert repr(next(iter(doc))) in err
+    assert "Traceback" not in err
+
+
 def test_personalize_command(tmp_path):
     model = random_model(np.random.default_rng(8))
     generic_path = tmp_path / "generic.bsbm"

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from blendfit import Mesh, RigidPose, evaluate_mesh
+from blendfit import CameraIntrinsics, Mesh, RigidPose, evaluate_mesh
+from blendfit.geometry import quat_from_rotvec
+from blendfit import synth
 from blendfit.synth import (
     NoiseConfig,
     ScriptFrame,
@@ -99,6 +101,91 @@ def test_nearest_surface_wins_z_buffer(intr):
     frame = render_depth(both, RigidPose.identity(), intr)
     cy, cx = intr.height // 2, intr.width // 2
     assert abs(frame.values[cy, cx] - 0.8) < 1e-6
+
+
+def _render_depth_per_face(mesh, pose, intr):
+    """Reference rasterizer: one face at a time, each over its own
+    bounding-box meshgrid, z-buffered in place (the per-face loop that
+    `render_depth` batches)."""
+    h, w = intr.height, intr.width
+    zbuf = np.full((h, w), np.inf)
+    verts = pose.apply(mesh.vertices)
+    tris = verts[mesh.faces]
+    zs = tris[:, :, 2]
+    in_front = np.all(zs > synth._Z_NEAR, axis=1)
+    normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    facing = np.einsum("ij,ij->i", normals, tris.mean(axis=1)) < 0.0
+    uv = np.empty_like(tris[:, :, :2])
+    np.divide(intr.fx * tris[:, :, 0], zs, out=uv[:, :, 0], where=zs > synth._Z_NEAR)
+    np.divide(intr.fy * tris[:, :, 1], zs, out=uv[:, :, 1], where=zs > synth._Z_NEAR)
+    uv[:, :, 0] += intr.cx
+    uv[:, :, 1] += intr.cy
+    for f in np.flatnonzero(in_front & facing):
+        p = uv[f]
+        x0 = max(int(np.floor(p[:, 0].min() - 0.5)), 0)
+        x1 = min(int(np.ceil(p[:, 0].max() - 0.5)), w - 1)
+        y0 = max(int(np.floor(p[:, 1].min() - 0.5)), 0)
+        y1 = min(int(np.ceil(p[:, 1].max() - 0.5)), h - 1)
+        if x1 < x0 or y1 < y0:
+            continue
+        gx, gy = np.meshgrid(np.arange(x0, x1 + 1) + 0.5, np.arange(y0, y1 + 1) + 0.5)
+        (ax, ay), (bx, by), (cx_, cy_) = p
+        denom = (bx - ax) * (cy_ - ay) - (by - ay) * (cx_ - ax)
+        if denom == 0.0:
+            continue
+        l0 = ((bx - gx) * (cy_ - gy) - (by - gy) * (cx_ - gx)) / denom
+        l1 = ((cx_ - gx) * (ay - gy) - (cy_ - gy) * (ax - gx)) / denom
+        l2 = 1.0 - l0 - l1
+        inside = (l0 >= 0) & (l1 >= 0) & (l2 >= 0)
+        inv_z = l0 / zs[f, 0] + l1 / zs[f, 1] + l2 / zs[f, 2]
+        z = np.where(inside & (inv_z > 0), 1.0 / np.where(inv_z > 0, inv_z, 1.0), np.inf)
+        tile = zbuf[y0:y1 + 1, x0:x1 + 1]
+        np.minimum(tile, z, out=tile)
+    return np.where(np.isfinite(zbuf), zbuf, 0.0).astype(np.float32)
+
+
+def _turned(yaw_degrees, distance, pitch_degrees=0.0, shift=(0.0, 0.0)):
+    rotvec = np.radians([pitch_degrees, yaw_degrees, 0.0])
+    return RigidPose(quat_from_rotvec(rotvec), np.array([shift[0], shift[1], distance]))
+
+
+def _render_cases(head, intr):
+    """(mesh, pose, camera) cases covering far, near, turned and close-up
+    views at two image sizes, with and without an expression."""
+    vga = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
+    rng = np.random.default_rng(5)
+    x = np.zeros(head.n)
+    x[rng.choice(head.n, 6, replace=False)] = rng.uniform(0.2, 1.0, 6)
+    smile = evaluate_mesh(head, x)
+    return [
+        (head.neutral, frontal_pose(0.5), intr),
+        (smile, _turned(12.0, 0.55, -9.0, (0.02, -0.01)), intr),
+        (smile, _turned(-15.0, 0.4, 7.0), vga),
+        (head.neutral, _turned(80.0, 1.0), intr),
+        (head.neutral, frontal_pose(3.0), vga),
+        (head.neutral, frontal_pose(0.08), vga),       # faces larger than a chunk
+        (_facing_square(z=0.05), RigidPose.identity(), intr),
+    ]
+
+
+def test_render_matches_per_face_reference(head, intr):
+    # the 0.05 m square's two faces each span the whole image
+    assert intr.width * intr.height > synth._PAIR_CHUNK
+    cases = _render_cases(head, intr)
+    assert render_depth(*cases[-1]).valid_mask().all()
+    for mesh, pose, cam in cases:
+        got = render_depth(mesh, pose, cam).values
+        want = _render_depth_per_face(mesh, pose, cam)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_render_is_independent_of_pair_chunk(head, intr, monkeypatch):
+    cases = [_render_cases(head, intr)[i] for i in (1, 6)]
+    default = [render_depth(*case).values.tobytes() for case in cases]
+    for chunk in (1, 7):
+        monkeypatch.setattr(synth, "_PAIR_CHUNK", chunk)
+        assert [render_depth(*case).values.tobytes() for case in cases] == default
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +315,25 @@ def test_test_head_shape_and_determinism():
     np.testing.assert_array_equal(a.neutral.vertices, b.neutral.vertices)
     np.testing.assert_array_equal(a.basis, b.basis)
     assert a.names == b.names
+
+    # the vertices sample a (u, v) grid row by row; every grid quad
+    # (a, b, c, d) with all four corners present becomes the triangles
+    # (a, b, c) and (a, c, d), quads in row-major order, with the winding
+    # reversed as a whole so the faces point toward the camera
+    verts = a.neutral.vertices
+    _, i = np.unique(verts[:, 0], return_inverse=True)
+    _, j = np.unique(verts[:, 1], return_inverse=True)
+    index = -np.ones((i.max() + 1, j.max() + 1), dtype=np.int64)
+    index[i, j] = np.arange(len(verts))
+    assert np.all(np.diff(index[index >= 0]) == 1)
+    faces = []
+    for r in range(index.shape[0] - 1):
+        for c in range(index.shape[1] - 1):
+            q0, q1, q2, q3 = index[r, c], index[r + 1, c], index[r + 1, c + 1], index[r, c + 1]
+            if min(q0, q1, q2, q3) >= 0:
+                faces += [(q0, q1, q2), (q0, q2, q3)]
+    np.testing.assert_array_equal(a.neutral.faces, np.array(faces)[:, ::-1])
+    np.testing.assert_array_equal(b.neutral.faces, a.neutral.faces)
 
 
 def test_frontal_pose_distance():

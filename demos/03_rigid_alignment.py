@@ -2,7 +2,7 @@
 
 Renders the neutral head at a known pose, starts the alignment from a
 deliberately wrong guess, and watches point-to-plane ICP pull it back.
-The per-iteration mean error comes out of the diagnostics.
+The per-iteration RMS error comes out of the diagnostics.
 """
 
 import numpy as np
@@ -30,9 +30,11 @@ recovered, diag = align_rigid(head.neutral, frame, intr, init)
 rot1, trans1 = pose_delta(recovered, true_pose)
 print(f"after ICP:     {np.rad2deg(rot1):.4f} deg, {trans1 * 1e3:.4f} mm")
 
-print("\nmean point-to-plane error per iteration:")
+# mean_errors holds mean squared point-to-plane distances (m^2); their
+# square root is the RMS distance
+print("\nRMS point-to-plane error per iteration:")
 for i, e in enumerate(diag.mean_errors):
-    print(f"  iter {i:2d}: {e * 1e3:.4f} mm")
+    print(f"  iter {i:2d}: {np.sqrt(e) * 1e3:.4f} mm")
 
 # with no guess at all, the depth centroid gives a workable starting point
 guess = initial_pose_from_depth(head.neutral, frame, intr)

@@ -32,9 +32,7 @@ from .geometry import (
     RigidPose,
     SequenceFrame,
     backproject,
-    check_no_degenerate_faces,
     evaluate_mesh,
-    face_areas,
     pose_delta,
     project,
     validate_bsc,

@@ -43,6 +43,8 @@ class DepthFrame:
         v = np.asarray(self.values, dtype=np.float32)
         if v.ndim != 2:
             raise ValueError(f"depth values must be 2-D, got shape {v.shape}")
+        if v.size == 0:
+            raise ValueError(f"depth image is empty (shape {v.shape})")
         if not np.all(np.isfinite(v)) or v.min() < 0.0:
             raise ValueError("depth values must be finite and >= 0")
         object.__setattr__(self, "values", _readonly(v))

@@ -113,19 +113,6 @@ def quat_rotation_angle(q) -> float:
     return 2.0 * float(np.arccos(w))
 
 
-def quat_to_rotvec(q) -> np.ndarray:
-    """Rotation vector (axis * angle) for a unit quaternion. Inverse of
-    quat_from_rotvec up to the 2*pi ambiguity; returns the short arc."""
-    q = quat_normalize(q)
-    if q[0] < 0.0:
-        q = -q
-    s = float(np.linalg.norm(q[1:]))
-    if s < 1e-12:
-        return 2.0 * q[1:]
-    angle = 2.0 * float(np.arctan2(s, q[0]))
-    return (angle / s) * q[1:]
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -158,21 +145,6 @@ class Mesh:
     @property
     def face_count(self) -> int:
         return len(self.faces)
-
-
-def face_areas(mesh: Mesh) -> np.ndarray:
-    """Triangle areas in meters^2."""
-    tri = mesh.vertices[mesh.faces]
-    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
-
-
-def check_no_degenerate_faces(mesh: Mesh, min_area: float = 1e-14) -> None:
-    """Raise if any face has (near-)zero area. Used at asset load time."""
-    areas = face_areas(mesh)
-    if mesh.face_count and areas.min() < min_area:
-        bad = int(np.argmin(areas))
-        raise MeshValidationError(f"face {bad} is degenerate (area {areas[bad]:.3e})")
 
 
 @dataclass(frozen=True)

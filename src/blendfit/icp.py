@@ -6,10 +6,10 @@ translation), residuals that each depend on one camera-frame point p
 with gradient g: row [p x g, g], with g = n for point-to-plane rows.
 `pose_step` solves stacked rows for a twist and halves it, up to four
 times, until the caller's error does not rise. `align_rigid` is
-point-to-plane ICP with projective association on that step: every
-candidate pose is scored by its mean squared error on matches gathered
-afresh under it, so the accepted error trace is non-increasing even on
-noisy data.
+point-to-plane ICP with projective association on that step, iterated
+as the fitter iterates: candidates are scored on the matches they were
+solved on, and fresh matches at the accepted pose judge the step, so
+the accepted error trace is non-increasing even on noisy data.
 
 ICP settings are module constants: at most 30 iterations
 (`_MAX_ITERATIONS`), converged once a step moves less than 0.01 degrees
@@ -66,12 +66,11 @@ def pose_step(pose: RigidPose, jac, res, f_cur: float, evaluate):
     """One Gauss-Newton twist step on `pose` from stacked rows (jac, res).
 
     The full step is tried first and halved up to four times until
-    `evaluate(candidate_pose)` is not above `f_cur`; `evaluate` returns
-    None to reject a candidate outright. Returns (pose, value, twist,
-    halvings): the accepted pose, its value and the applied 6-vector
-    twist, or the unchanged `pose`, `f_cur` and twist None when every
-    candidate was rejected. Raises DegenerateGeometryError when the 6x6
-    normal equations are singular.
+    `evaluate(candidate_pose)` is not above `f_cur`. Returns (pose,
+    value, twist, halvings): the accepted pose, its value and the
+    applied 6-vector twist, or the unchanged `pose`, `f_cur` and twist
+    None when every candidate raised the value. Raises
+    DegenerateGeometryError when the 6x6 normal equations are singular.
     """
     jtj = jac.T @ jac
     jtr = jac.T @ res
@@ -84,7 +83,7 @@ def pose_step(pose: RigidPose, jac, res, f_cur: float, evaluate):
         twist = scale * step
         cand = apply_twist(pose, twist[:3], twist[3:])
         f_cand = evaluate(cand)
-        if f_cand is not None and f_cand <= f_cur:
+        if f_cand <= f_cur:
             return cand, f_cand, twist, halvings
         scale *= 0.5
     return pose, f_cur, None, _MAX_HALVINGS
@@ -116,28 +115,25 @@ def align_rigid(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
                 init: RigidPose) -> tuple[RigidPose, IcpDiagnostics]:
     """Point-to-plane ICP from `init`; returns the refined pose and diagnostics.
 
-    Raises InsufficientDataError when fewer than 6 vertices match at
-    `init` (a candidate pose with fewer is rejected),
-    DegenerateGeometryError when the normal equations are singular.
+    Fresh matches at each stepped pose judge the step: a pose with fewer
+    than 6 matches scores an infinite error, and an error above the last
+    keeps the last pose and stops ICP. Raises InsufficientDataError when
+    fewer than 6 vertices match at `init`, DegenerateGeometryError when
+    the normal equations are singular.
     """
     if mesh.vertex_count == 0:
         raise InsufficientDataError("empty mesh")
 
-    matched = None   # (camera-frame vertices, correspondences) at the last pose scored
-
-    def mean_sq_error(cand):
-        nonlocal matched
-        verts = cand.apply(mesh.vertices)
-        matched = verts, find_correspondences(verts, frame, intr, _GATES)
-        if len(matched[1]) < _MIN_CORRESPONDENCES:
-            return None
-        r = matched[1].residuals(verts)
-        return float(np.mean(r * r))
+    def associate(pose):
+        verts = pose.apply(mesh.vertices)
+        corrs = find_correspondences(verts, frame, intr, _GATES)
+        if len(corrs) < _MIN_CORRESPONDENCES:
+            return verts, corrs, np.inf
+        return verts, corrs, float(np.mean(corrs.residuals(verts) ** 2))
 
     pose = init
-    err = mean_sq_error(pose)
-    verts_cam, corrs = matched
-    if err is None:
+    verts_cam, corrs, err = associate(pose)
+    if len(corrs) < _MIN_CORRESPONDENCES:
         raise InsufficientDataError(
             f"{len(corrs)} correspondences < required {_MIN_CORRESPONDENCES}")
 
@@ -147,13 +143,17 @@ def align_rigid(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
         diag.correspondence_counts.append(len(corrs))
         diag.mean_errors.append(err)
 
-        jac = twist_rows(verts_cam[corrs.vertex_indices], corrs.normals)
-        res = corrs.residuals(verts_cam)
-        pose, err, twist, halvings = pose_step(pose, jac, res, err, mean_sq_error)
+        cand, _, twist, halvings = pose_step(
+            pose, twist_rows(verts_cam[corrs.vertex_indices], corrs.normals),
+            corrs.residuals(verts_cam), err,
+            lambda p: float(np.mean(corrs.residuals(p.apply(mesh.vertices)) ** 2)))
         diag.halvings += halvings
         if twist is None:
             break
-        verts_cam, corrs = matched   # the accepted candidate was scored last
+        cand_verts, cand_corrs, cand_err = associate(cand)
+        if cand_err > err:
+            break
+        pose, verts_cam, corrs, err = cand, cand_verts, cand_corrs, cand_err
         if np.linalg.norm(twist[:3]) < np.deg2rad(_ROTATION_EPSILON) and \
            np.linalg.norm(twist[3:]) < _TRANSLATION_EPSILON:
             diag.converged = True

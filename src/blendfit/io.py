@@ -156,9 +156,10 @@ def read_depth(path, frame_index: int = 0) -> tuple[DepthFrame, CameraIntrinsics
         raise FormatError(
             f"{path}: expected {expected} bytes for {width}x{height}, got {len(blob)}")
     values = np.frombuffer(blob, dtype="<f4", offset=_DEPTH_HEADER.size)
-    frame = DepthFrame(values.reshape(height, width), frame_index=frame_index,
-                       timestamp=ts)
-    intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height)
+    frame = _construct(str(path), DepthFrame, values.reshape(height, width),
+                       frame_index=frame_index, timestamp=ts)
+    intr = _construct(str(path), CameraIntrinsics, fx=fx, fy=fy, cx=cx, cy=cy,
+                      width=width, height=height)
     return frame, intr
 
 
@@ -202,7 +203,11 @@ def read_model(path) -> BlendshapeModel:
         off += 2
         if off + ln > len(blob):
             raise FormatError(f"{path}: truncated name table")
-        names.append(blob[off:off + ln].decode("utf-8"))
+        try:
+            names.append(blob[off:off + ln].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FormatError(
+                f"{path}: blendshape name {len(names)} is not valid UTF-8") from None
         off += ln
     need = nv * 3 * 8 + nf * 3 * 4 + n * nv * 3 * 8
     if len(blob) - off != need:
@@ -213,8 +218,9 @@ def read_model(path) -> BlendshapeModel:
     faces = np.frombuffer(blob, dtype="<u4", count=nf * 3, offset=off).reshape(nf, 3)
     off += nf * 3 * 4
     basis = np.frombuffer(blob, dtype="<f8", count=n * nv * 3, offset=off).reshape(n, nv, 3)
-    return BlendshapeModel(neutral=Mesh(verts, faces.astype(np.int64)),
-                           basis=basis, names=tuple(names))
+    neutral = _construct(str(path), Mesh, verts, faces.astype(np.int64))
+    return _construct(str(path), BlendshapeModel, neutral=neutral, basis=basis,
+                      names=tuple(names))
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +373,6 @@ def parse_viseme_table(text: str, source="<string>") -> VisemeTable:
 
 def read_viseme_table(path) -> VisemeTable:
     return parse_viseme_table(Path(path).read_text(encoding="ascii"), source=path)
-
-
-def write_viseme_table(path, table: VisemeTable) -> None:
-    clusters: dict[str, list] = {v: [] for v in table.weights}
-    for p, v in table.viseme_of.items():
-        clusters[v].append(p)
-    lines = [_VIS_TAG]
-    for v in sorted(clusters, key=lambda v: (-table.weights[v], v)):
-        lines.append(f"{v} {_fmt(table.weights[v])} {' '.join(sorted(clusters[v]))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@ from blendfit import (
     RigidPose,
     SequenceFrame,
     backproject,
-    check_no_degenerate_faces,
     evaluate_mesh,
-    face_areas,
     pose_delta,
     project,
     validate_bsc,
@@ -31,7 +29,6 @@ from blendfit.geometry import (
     quat_normalize,
     quat_rotation_angle,
     quat_to_matrix,
-    quat_to_rotvec,
 )
 
 from conftest import random_model
@@ -168,18 +165,22 @@ def test_quat_matrix_is_special_orthogonal():
 
 
 def test_rotvec_round_trip():
+    # angles below pi: the quaternion's vector part points along the axis
     rng = np.random.default_rng(11)
     for _ in range(50):
         rv = rng.normal(size=3)
         rv *= rng.uniform(0, 3.0) / np.linalg.norm(rv)
-        np.testing.assert_allclose(quat_to_rotvec(quat_from_rotvec(rv)), rv,
-                                   atol=1e-9)
+        q = quat_from_rotvec(rv)
+        back = quat_rotation_angle(q) * q[1:] / np.linalg.norm(q[1:])
+        np.testing.assert_allclose(back, rv, atol=1e-9)
 
 
 def test_rotvec_round_trip_tiny_angle():
+    # the first-order branch: q = (1, rv / 2), unit to double precision
     rv = np.array([1e-13, -2e-13, 5e-14])
-    np.testing.assert_allclose(quat_to_rotvec(quat_from_rotvec(rv)), rv,
-                               atol=1e-20)
+    q = quat_from_rotvec(rv)
+    assert q[0] == 1.0
+    np.testing.assert_allclose(2.0 * q[1:], rv, atol=1e-20)
 
 
 def test_rotation_angle():
@@ -314,20 +315,6 @@ def test_mesh_rejects_out_of_range_face():
 def test_mesh_rejects_repeated_vertex_in_face():
     with pytest.raises(MeshValidationError):
         Mesh(np.zeros((3, 3)), np.array([[0, 1, 1]]))
-
-
-def test_degenerate_face_check():
-    # collinear vertices: zero area without repeating an index
-    mesh = Mesh(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float),
-                np.array([[0, 1, 2]]))
-    with pytest.raises(MeshValidationError):
-        check_no_degenerate_faces(mesh)
-
-
-def test_face_areas_unit_triangle():
-    mesh = Mesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float),
-                np.array([[0, 1, 2]]))
-    np.testing.assert_allclose(face_areas(mesh), [0.5], atol=1e-15)
 
 
 def test_model_rejects_name_count_mismatch():

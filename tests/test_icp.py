@@ -11,6 +11,7 @@ from blendfit import (
     evaluate_mesh,
     pose_delta,
 )
+from blendfit import icp
 from blendfit.geometry import quat_from_axis_angle
 from blendfit.icp import (
     _ROTATION_EPSILON,
@@ -18,7 +19,7 @@ from blendfit.icp import (
     align_rigid,
     initial_pose_from_depth,
 )
-from blendfit.synth import frontal_pose, render_depth
+from blendfit.synth import add_depth_noise, frontal_pose, render_depth
 
 from conftest import flat_sheet_model, wall_frame
 
@@ -31,6 +32,12 @@ def neutral_mesh(head):
 @pytest.fixture(scope="module")
 def neutral_frame(neutral_mesh, intr):
     return render_depth(neutral_mesh, frontal_pose(), intr)
+
+
+@pytest.fixture(scope="module")
+def noisy_frame(neutral_frame):
+    # 2 mm Gaussian depth noise, the sensor model of the noisy benchmarks
+    return add_depth_noise(neutral_frame, 0.002, np.random.default_rng(0))
 
 
 def test_fixed_point_at_generating_pose(neutral_mesh, neutral_frame, intr):
@@ -63,14 +70,36 @@ def test_returned_rotation_is_unit(neutral_mesh, neutral_frame, intr):
     assert abs(np.linalg.norm(pose.rotation) - 1.0) < 1e-9
 
 
-def test_mean_error_non_increasing(neutral_mesh, neutral_frame, intr):
+def _offset_init():
     q = quat_from_axis_angle(np.array([0.1, 0.8, 0.4]), np.deg2rad(4.0))
-    init = RigidPose(q, frontal_pose().translation + np.array([0.015, 0.0, -0.01]))
-    _, diag = align_rigid(neutral_mesh, neutral_frame, intr, init)
+    return RigidPose(q, frontal_pose().translation + np.array([0.015, 0.0, -0.01]))
+
+
+@pytest.mark.parametrize("frame_name", ["neutral_frame", "noisy_frame"],
+                         ids=["noise-free", "noise-2mm"])
+def test_mean_error_non_increasing(neutral_mesh, intr, request, frame_name):
+    frame = request.getfixturevalue(frame_name)
+    _, diag = align_rigid(neutral_mesh, frame, intr, _offset_init())
     errs = diag.mean_errors
     assert len(errs) >= 1
     assert all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
     assert len(diag.correspondence_counts) == len(errs)
+
+
+def test_one_association_per_step(neutral_mesh, noisy_frame, intr, monkeypatch):
+    # each step is scored on the matches it was solved on; only the
+    # accepted pose is matched afresh, never a halved candidate
+    calls = []
+    real = icp.find_correspondences
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(icp, "find_correspondences", counted)
+    _, diag = align_rigid(neutral_mesh, noisy_frame, intr, _offset_init())
+    assert diag.iterations >= 2
+    assert len(calls) <= diag.iterations + 1
 
 
 def test_alignment_invariant_to_vertex_permutation(neutral_mesh, neutral_frame, intr):

@@ -39,7 +39,6 @@ from blendfit.io import (
     write_mesh,
     write_model,
     write_report,
-    write_viseme_table,
 )
 from blendfit.metrics import FrameAlignment, VisemeTable
 from blendfit.personalize import ExampleExpression
@@ -160,6 +159,26 @@ def test_depth_unknown_version(tmp_path, intr):
         read_depth(path)
 
 
+def _depth_blob(width, height, values, fx=100.0):
+    header = struct.pack("<4sHIIffffd", b"BSDF", 1, width, height,
+                         fx, 100.0, 0.5 * width, 0.5 * height, 0.0)
+    return header + struct.pack(f"<{len(values)}f", *values)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_depth_blob(2, 1, [1.0, float("nan")]), "finite"),
+    (_depth_blob(2, 1, [1.0, -0.5]), ">= 0"),
+    (_depth_blob(2, 1, [1.0, 1.0], fx=0.0), "focal lengths"),
+    (_depth_blob(0, 0, []), "empty"),
+], ids=["nan-depth", "negative-depth", "zero-focal", "zero-size"])
+def test_invalid_depth_content_names_file(tmp_path, blob, message):
+    path = tmp_path / "bad.bsdf"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        read_depth(path)
+    assert str(path) in str(err.value) and message in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # blendshape models (binary)
 
@@ -179,6 +198,41 @@ def test_model_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + bytes(30))
     with pytest.raises(FormatError):
         read_model(path)
+
+
+def _model_blob(names, faces):
+    """A model file with a 3-vertex neutral, the given raw name bytes and
+    face rows, and a zero basis per name."""
+    parts = [struct.pack("<4sHIII", b"BSBM", 1, len(names), 3, len(faces))]
+    for raw in names:
+        parts.append(struct.pack("<H", len(raw)) + raw)
+    parts.append(np.eye(3).astype("<f8").tobytes())
+    parts.append(np.array(faces, dtype="<u4").tobytes())
+    parts.append(np.zeros((len(names), 3, 3), dtype="<f8").tobytes())
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_model_blob([b"jaw"], [[0, 1, 99999]]), "face index out of range"),
+    (_model_blob([b"jaw"], [[0, 1, 1]]), "same vertex twice"),
+    (_model_blob([b"jaw", b"jaw"], [[0, 1, 2]]), "unique"),
+    (_model_blob([], [[0, 1, 2]]), "at least one blendshape"),
+    (_model_blob([b"\xff\xfe"], [[0, 1, 2]]), "UTF-8"),
+], ids=["face-out-of-range", "repeated-vertex", "duplicate-name", "no-shapes",
+        "bad-utf8-name"])
+def test_invalid_model_content_names_file(tmp_path, blob, message):
+    path = tmp_path / "bad.bsbm"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        read_model(path)
+    assert str(path) in str(err.value) and message in str(err.value)
+
+
+def test_valid_hand_built_model_loads(tmp_path):
+    path = tmp_path / "tiny.bsbm"
+    path.write_bytes(_model_blob([b"jaw"], [[0, 1, 2]]))
+    model = read_model(path)
+    assert model.names == ("jaw",) and model.neutral.face_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +364,11 @@ def test_shipped_viseme_table_loads():
     assert table.weights["/P/"] == 1.0
 
 
-def test_viseme_table_round_trip(tmp_path):
+def test_viseme_table_file_matches_packaged(tmp_path):
+    from importlib.resources import files
+
     path = tmp_path / "v.txt"
-    write_viseme_table(path, VisemeTable.default())
+    path.write_text((files("blendfit") / "data" / "visemes.txt").read_text(encoding="ascii"))
     back = read_viseme_table(path)
     assert back.weights == VisemeTable.default().weights
     assert back.viseme_of == VisemeTable.default().viseme_of

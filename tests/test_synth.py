@@ -53,24 +53,25 @@ def test_back_face_is_culled(intr):
     assert not frame.valid_mask().any()
 
 
-def _ray_triangle_depth(intr, u, v, tri):
-    """z of the intersection of the pixel-center ray with a triangle,
-    or None. Moller-Trumbore with the camera at the origin."""
-    d = np.array([(u + 0.5 - intr.cx) / intr.fx, (v + 0.5 - intr.cy) / intr.fy, 1.0])
+def _ray_triangle_depths(intr, us, vs, tri):
+    """z of the intersections of the center rays of pixels (us, vs) with
+    a triangle, NaN where a ray misses. Moller-Trumbore with the camera
+    at the origin, one ray per row."""
+    d = np.column_stack([(us + 0.5 - intr.cx) / intr.fx,
+                         (vs + 0.5 - intr.cy) / intr.fy, np.ones(len(us))])
     e1 = tri[1] - tri[0]
     e2 = tri[2] - tri[0]
     p = np.cross(d, e2)
-    det = e1 @ p
-    if abs(det) < 1e-14:
-        return None
+    det = p @ e1
+    hit = np.abs(det) >= 1e-14
+    det = np.where(hit, det, 1.0)
     s = -tri[0]
-    b1 = (s @ p) / det
+    b1 = (p @ s) / det
     q = np.cross(s, e1)
     b2 = (d @ q) / det
-    if b1 < -1e-9 or b2 < -1e-9 or b1 + b2 > 1 + 1e-9:
-        return None
     t = (e2 @ q) / det
-    return t if t > 0 else None
+    hit &= (b1 >= -1e-9) & (b2 >= -1e-9) & (b1 + b2 <= 1 + 1e-9) & (t > 0)
+    return np.where(hit, t, np.nan)
 
 
 def test_rasterized_depth_matches_ray_casting(intr):
@@ -87,10 +88,9 @@ def test_rasterized_depth_matches_ray_casting(intr):
                              RigidPose.identity(), intr)
         ys, xs = np.nonzero(frame.valid_mask())
         assert len(ys) > 20
-        for v, u in zip(ys, xs):
-            z = _ray_triangle_depth(intr, u, v, tri)
-            assert z is not None
-            assert abs(frame.values[v, u] - z) < 1e-5
+        z = _ray_triangle_depths(intr, xs, ys, tri)
+        assert not np.isnan(z).any()
+        assert (np.abs(frame.values[ys, xs] - z) < 1e-5).all()
 
 
 def test_nearest_surface_wins_z_buffer(intr):

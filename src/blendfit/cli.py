@@ -15,6 +15,7 @@ seed, whatever --threads says.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -176,10 +177,7 @@ def _cmd_track(args) -> int:
         "format": "trackdiag", "version": 1,
         "frame_status": list(result.frame_status),
         "fitted_frames": sum(1 for s in result.frame_status if s == "ok"),
-        "config": {"w_d": cfg.w_d, "w_l": cfg.w_l, "w_r": cfg.w_r,
-                   "outer_iterations": cfg.outer_iterations,
-                   "gs_sweeps": cfg.gs_sweeps,
-                   "objective_rel_tol": cfg.objective_rel_tol},
+        "config": dataclasses.asdict(cfg),
         "frames": [
             None if fit is None else {
                 "objective": fit.objective_trace[-1] if fit.objective_trace else None,
@@ -188,9 +186,7 @@ def _cmd_track(args) -> int:
                 "converged": fit.converged,
             } for fit in result.fits],
     }
-    diag_path = out.with_suffix(".diag.json")
-    diag_path.write_text(json.dumps(diag, indent=2, sort_keys=True) + "\n",
-                         encoding="ascii")
+    io._write_json(out.with_suffix(".diag.json"), diag)
     print(f"fitted {diag['fitted_frames']}/{len(frames)} frames -> {out}")
     return 0
 
@@ -369,12 +365,7 @@ def _overlay_config(args, argv, command: argparse.ArgumentParser) -> None:
     """
     if args.config is None:
         return
-    try:
-        doc = json.loads(Path(args.config).read_text(encoding="ascii"))
-    except json.JSONDecodeError as exc:
-        raise io.FormatError(f"{args.config}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise io.FormatError(f"{args.config}: top level must be a JSON object")
+    doc = io._read_json_object(args.config)
     flags = {a.dest: a for a in command._actions
              if a.option_strings and a.dest not in ("help", "config")}
     for key, value in doc.items():

@@ -4,12 +4,14 @@ Gauss-Newton pose step it shares with the frame fitter.
 `twist_rows` linearizes, for a small left twist (3 rotation + 3
 translation), residuals that each depend on one camera-frame point p
 with gradient g: row [p x g, g], with g = n for point-to-plane rows.
-`pose_step` solves stacked rows for a twist and halves it, up to four
-times, until the caller's error does not rise. `align_rigid` is
-point-to-plane ICP with projective association on that step, iterated
-as the fitter iterates: candidates are scored on the matches they were
-solved on, and fresh matches at the accepted pose judge the step, so
-the accepted error trace is non-increasing even on noisy data.
+`backtrack` halves a step toward its start, up to four times, until the
+caller's value does not rise; the pose step, the coefficient step and
+the rig refinement all use it. `pose_step` solves stacked rows for a
+twist and backtracks it from zero. `align_rigid` is point-to-plane ICP
+with projective association on that step, iterated as the fitter
+iterates: candidates are scored on the matches they were solved on,
+and fresh matches at the accepted pose judge the step, so the accepted
+error trace is non-increasing even on noisy data.
 
 ICP settings are module constants: at most 30 iterations
 (`_MAX_ITERATIONS`), converged once a step moves less than 0.01 degrees
@@ -62,15 +64,28 @@ def twist_rows(points, grads) -> np.ndarray:
     return np.concatenate([np.cross(points, grads), grads], axis=1)
 
 
+def backtrack(cur, full, bound: float, evaluate):
+    """(point, value, halvings) for the first of `full` and up to four
+    repeated midpoints 0.5 * (cand + cur) whose `evaluate` is not above
+    `bound`; (None, None, 4) when all five are."""
+    cand = full
+    for halvings in range(_MAX_HALVINGS + 1):
+        value = evaluate(cand)
+        if value <= bound:
+            return cand, value, halvings
+        cand = 0.5 * (cand + cur)
+    return None, None, _MAX_HALVINGS
+
+
 def pose_step(pose: RigidPose, jac, res, f_cur: float, evaluate):
     """One Gauss-Newton twist step on `pose` from stacked rows (jac, res).
 
-    The full step is tried first and halved up to four times until
-    `evaluate(candidate_pose)` is not above `f_cur`. Returns (pose,
-    value, twist, halvings): the accepted pose, its value and the
-    applied 6-vector twist, or the unchanged `pose`, `f_cur` and twist
-    None when every candidate raised the value. Raises
-    DegenerateGeometryError when the 6x6 normal equations are singular.
+    The twist is backtracked from zero until `evaluate(candidate_pose)`
+    is not above `f_cur`. Returns (pose, value, twist, halvings): the
+    accepted pose, its value and the applied 6-vector twist, or the
+    unchanged `pose`, `f_cur` and twist None when every candidate raised
+    the value. Raises DegenerateGeometryError when the 6x6 normal
+    equations are singular.
     """
     jtj = jac.T @ jac
     jtr = jac.T @ res
@@ -78,15 +93,11 @@ def pose_step(pose: RigidPose, jac, res, f_cur: float, evaluate):
         raise DegenerateGeometryError("pose normal equations are singular")
     step = -np.linalg.solve(jtj, jtr)
 
-    scale = 1.0
-    for halvings in range(_MAX_HALVINGS + 1):
-        twist = scale * step
-        cand = apply_twist(pose, twist[:3], twist[3:])
-        f_cand = evaluate(cand)
-        if f_cand <= f_cur:
-            return cand, f_cand, twist, halvings
-        scale *= 0.5
-    return pose, f_cur, None, _MAX_HALVINGS
+    twist, value, halvings = backtrack(
+        np.zeros(6), step, f_cur, lambda t: evaluate(apply_twist(pose, t[:3], t[3:])))
+    if twist is None:
+        return pose, f_cur, None, halvings
+    return apply_twist(pose, twist[:3], twist[3:]), value, twist, halvings
 
 
 def initial_pose_from_depth(mesh: Mesh, frame: DepthFrame,

@@ -3,7 +3,9 @@
 All formats are versioned and little-endian; text formats always use '.'
 as the decimal separator and write floats with repr(), the shortest
 decimal string that round-trips the exact float64. Readers reject
-unknown versions and unknown fields instead of guessing.
+unknown versions and unknown fields instead of guessing. Text files are
+ASCII: any other byte is a FormatError naming the file, and writers
+encode before they open the file, so a failed write leaves it as it was.
 
 Formats
 -------
@@ -75,45 +77,44 @@ def write_mesh(path, mesh: Mesh) -> None:
         lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
     for f in mesh.faces:
         lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_mesh(path) -> Mesh:
     vertices = []
     faces = []
-    with open(path, encoding="ascii") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            kind, args = parts[0], parts[1:]
-            if kind == "v":
-                if len(args) != 3:
-                    raise ParseError(path, ln, f"vertex needs 3 coordinates, got {len(args)}")
-                try:
-                    vertices.append([float(a) for a in args])
-                except ValueError:
-                    raise ParseError(path, ln, f"bad vertex coordinate in {line!r}") from None
-            elif kind == "f":
-                if len(args) != 3:
+    for ln, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kind, args = parts[0], parts[1:]
+        if kind == "v":
+            if len(args) != 3:
+                raise ParseError(path, ln, f"vertex needs 3 coordinates, got {len(args)}")
+            try:
+                vertices.append([float(a) for a in args])
+            except ValueError:
+                raise ParseError(path, ln, f"bad vertex coordinate in {line!r}") from None
+        elif kind == "f":
+            if len(args) != 3:
+                raise ParseError(
+                    path, ln, f"only triangle faces are supported, got {len(args)} indices")
+            idx = []
+            for a in args:
+                if "/" in a:
                     raise ParseError(
-                        path, ln, f"only triangle faces are supported, got {len(args)} indices")
-                idx = []
-                for a in args:
-                    if "/" in a:
-                        raise ParseError(
-                            path, ln, "texture/normal face indices are not supported")
-                    try:
-                        i = int(a)
-                    except ValueError:
-                        raise ParseError(path, ln, f"bad face index {a!r}") from None
-                    if i < 1:
-                        raise ParseError(path, ln, f"face indices are 1-based, got {i}")
-                    idx.append(i - 1)
-                faces.append(idx)
-            else:
-                raise ParseError(path, ln, f"unsupported record {kind!r}")
+                        path, ln, "texture/normal face indices are not supported")
+                try:
+                    i = int(a)
+                except ValueError:
+                    raise ParseError(path, ln, f"bad face index {a!r}") from None
+                if i < 1:
+                    raise ParseError(path, ln, f"face indices are 1-based, got {i}")
+                idx.append(i - 1)
+            faces.append(idx)
+        else:
+            raise ParseError(path, ln, f"unsupported record {kind!r}")
     try:
         return Mesh(np.array(vertices, dtype=np.float64).reshape(-1, 3),
                     np.array(faces, dtype=np.int64).reshape(-1, 3))
@@ -232,8 +233,12 @@ _SEQ_FIXED = ["frame", "timestamp", "qw", "qx", "qy", "qz", "tx", "ty", "tz"]
 
 def write_bsc_sequence(path, seq: BscSequence) -> None:
     for name in seq.names:
-        if "," in name or "\n" in name:
-            raise FormatError(f"blendshape name {name!r} cannot be stored")
+        # the reader splits the header at commas and strips each name
+        if not (name.isascii() and name.isprintable()) or "," in name \
+                or name != name.strip():
+            raise FormatError(f"{path}: blendshape name {name!r} cannot be stored: "
+                              "names are printable ASCII without commas or "
+                              "leading or trailing spaces")
     lines = [_SEQ_TAG, ",".join(_SEQ_FIXED + list(seq.names))]
     for fr in seq.frames:
         q, t = fr.pose.rotation, fr.pose.translation
@@ -241,12 +246,11 @@ def write_bsc_sequence(path, seq: BscSequence) -> None:
                   + [_fmt(v) for v in q] + [_fmt(v) for v in t]
                   + [_fmt(v) for v in fr.coefficients])
         lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_bsc_sequence(path) -> BscSequence:
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != _SEQ_TAG:
         raise FormatError(f"{path}: first line must be {_SEQ_TAG!r}")
     if len(lines) < 2:
@@ -372,7 +376,7 @@ def parse_viseme_table(text: str, source="<string>") -> VisemeTable:
 
 
 def read_viseme_table(path) -> VisemeTable:
-    return parse_viseme_table(Path(path).read_text(encoding="ascii"), source=path)
+    return parse_viseme_table(_read_text(path), source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +384,15 @@ def read_viseme_table(path) -> VisemeTable:
 
 def read_alignment(path) -> FrameAlignment:
     labels = []
-    with open(path, encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                labels.append(line)
+    for raw in _read_text(path).split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            labels.append(line)
     return FrameAlignment(tuple(labels))
 
 
 def write_alignment(path, align: FrameAlignment) -> None:
-    Path(path).write_text("\n".join(align.labels) + "\n", encoding="ascii")
+    _write_text(path, "\n".join(align.labels) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -598,20 +601,46 @@ def read_examples(dir_path) -> list:
 
 
 # ---------------------------------------------------------------------------
-# JSON plumbing
+# text and JSON plumbing
+
+def _read_text(path) -> str:
+    """The text of an ASCII file, newlines translated as `open` does; a
+    byte outside ASCII is a FormatError naming the file."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.object[exc.start]:#04x} at offset "
+                          f"{exc.start} is not ASCII") from None
+
+
+def _write_text(path, text: str) -> None:
+    """Write `text` as ASCII. It is encoded before the file is opened, so
+    text that cannot be written leaves an existing file as it was."""
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"{path}: cannot write non-ASCII text "
+                          f"{exc.object[exc.start:exc.end]!r}") from None
+    Path(path).write_bytes(raw)
+
 
 def _write_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="ascii")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json(path, expected_format: str, expected_version: int, allowed: set) -> dict:
+def _read_json_object(path) -> dict:
+    """The top-level JSON object of `path`."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="ascii"))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
+    return doc
+
+
+def _read_json(path, expected_format: str, expected_version: int, allowed: set) -> dict:
+    doc = _read_json_object(path)
     if doc.get("format") != expected_format:
         raise FormatError(
             f"{path}: format is {doc.get('format')!r}, expected {expected_format!r}")

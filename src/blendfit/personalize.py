@@ -10,8 +10,8 @@ which decomposes into independent n x n systems sharing one activation
 Gram matrix, so a single factorization covers every vertex and axis.
 Optional 2D landmark constraints add Gauss-Newton reprojection rows for
 the constrained vertices only; those vertices are re-solved as coupled
-3n x 3n systems with step halving against the true objective, so the
-result never scores worse than the generic initializer.
+3n x 3n systems whose steps `icp.backtrack` halves against the true
+objective, so the result never scores worse than the generic initializer.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .geometry import (
     project,
     validate_bsc,
 )
+from .icp import backtrack
 
 log = logging.getLogger(__name__)
 
-_MAX_HALVINGS = 4
 _MAX_GN_ITERATIONS = 5
 
 
@@ -197,14 +197,10 @@ def _solve_constrained_vertex(generic, examples, cfg, b0_v, basis_v, vj,
                 f"vertex {vj} landmark system is singular") from exc
 
         # accept only true-objective descent; halve toward current otherwise
-        accepted = False
-        for _h in range(_MAX_HALVINGS + 1):
-            f_new = _vertex_objective(examples, cfg, b0_v, new, generic_slice, vj)
-            if f_new <= f_cur + 1e-15:
-                accepted = True
-                break
-            new = 0.5 * (new + cur)
-        if not accepted:
+        new, f_new, _ = backtrack(
+            cur, new, f_cur + 1e-15,
+            lambda b: _vertex_objective(examples, cfg, b0_v, b, generic_slice, vj))
+        if new is None:
             break
         step = float(np.max(np.abs(new - cur)))
         cur, f_cur = new, f_new

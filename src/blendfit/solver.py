@@ -26,9 +26,9 @@ The coefficient solve runs first because it tolerates slightly stale
 correspondences far better than the pose does: point-to-plane rigid
 alignment of a wrongly-expressed face can slide into a cheaper but
 wrong pose, while the expression solve attributes most displacement
-correctly even on early correspondence sets. Every step is halved until
-it does not increase the objective, so the recorded per-iteration trace
-is non-increasing.
+correctly even on early correspondence sets. Both steps go through
+`icp.backtrack`, halved until they do not increase the objective, so the
+recorded per-iteration trace is non-increasing.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ from .geometry import (
     quat_to_matrix,
 )
 from .icp import (
-    _MAX_HALVINGS,
     DegenerateGeometryError,
     InsufficientDataError,
     align_rigid,
+    backtrack,
     initial_pose_from_depth,
     pose_step,
     twist_rows,
@@ -346,17 +346,16 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     converged = False
     corr_count = 0
     try:
+        mesh = evaluate_mesh(model, x)
         for _ in range(cfg.outer_iterations):
-            mesh = evaluate_mesh(model, x)
             corrs = find_correspondences(pose.apply(mesh.vertices),
                                          frame, intr, _GATES)
             corr_count = len(corrs)
             if corr_count == 0 and n_land == 0:
                 raise TrackingError("no depth correspondences and no landmarks")
 
-            f_ref = _objective_on(mesh.vertices, pose, x, corrs, landmarks,
-                                  intr, cfg)
-            f_cur = f_ref
+            f_ref = f_cur = _objective_on(mesh.vertices, pose, x, corrs,
+                                          landmarks, intr, cfg)
 
             # coefficients first: the expression solve tolerates slightly
             # stale associations far better than the pose does
@@ -365,17 +364,11 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
             x_cand, _ = solve_l1_box(quad, cfg.w_r, x0=x, sweeps=cfg.gs_sweeps)
             # the landmark linearization can overshoot; fall back toward
             # the previous coefficients until it descends
-            f_cand = evaluate_objective(model, pose, x_cand, corrs,
-                                        landmarks, intr, cfg)
-            for _h in range(_MAX_HALVINGS):
-                if f_cand <= f_cur:
-                    break
-                x_cand = 0.5 * (x_cand + x)
-                f_cand = evaluate_objective(model, pose, x_cand, corrs,
-                                            landmarks, intr, cfg)
-            if f_cand <= f_cur:
-                x = x_cand
-                f_cur = f_cand
+            x_cand, f_cand, _ = backtrack(
+                x, x_cand, f_cur,
+                lambda xc: evaluate_objective(model, pose, xc, corrs, landmarks, intr, cfg))
+            if x_cand is not None:
+                x, f_cur = x_cand, f_cand
                 mesh = evaluate_mesh(model, x)
 
             pose, f_cur = _pose_step(mesh.vertices, pose, x, corrs,

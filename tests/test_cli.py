@@ -235,6 +235,17 @@ def test_config_rejects_wrongly_typed_value(tmp_path, capsys, doc):
     assert "Traceback" not in err
 
 
+def test_config_non_ascii_byte_names_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"alpha": 0.5, "x": "\xff"}')
+    rc = main(["eval", "--pred", "p", "--gt", "g", "--align", "a",
+               "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("blendfit eval: error:")
+    assert str(cfg) in err and "0xff" in err
+
+
 def test_personalize_command(tmp_path):
     model = random_model(np.random.default_rng(8))
     generic_path = tmp_path / "generic.bsbm"

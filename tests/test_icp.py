@@ -12,12 +12,14 @@ from blendfit import (
     pose_delta,
 )
 from blendfit import icp
-from blendfit.geometry import quat_from_axis_angle
+from blendfit.geometry import apply_twist, quat_from_axis_angle
 from blendfit.icp import (
     _ROTATION_EPSILON,
     _TRANSLATION_EPSILON,
     align_rigid,
+    backtrack,
     initial_pose_from_depth,
+    pose_step,
 )
 from blendfit.synth import add_depth_noise, frontal_pose, render_depth
 
@@ -38,6 +40,71 @@ def neutral_frame(neutral_mesh, intr):
 def noisy_frame(neutral_frame):
     # 2 mm Gaussian depth noise, the sensor model of the noisy benchmarks
     return add_depth_noise(neutral_frame, 0.002, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# backtrack and the pose step
+
+def _recorded(values):
+    """An evaluate that returns `values` in turn and records each point."""
+    seen = []
+
+    def evaluate(point):
+        seen.append(np.array(point, copy=True))
+        return values[len(seen) - 1]
+    return evaluate, seen
+
+
+def test_backtrack_accepts_full_step():
+    evaluate, seen = _recorded([0.5])
+    point, value, halvings = backtrack(np.zeros(2), np.array([4.0, -2.0]), 1.0, evaluate)
+    np.testing.assert_array_equal(point, [4.0, -2.0])
+    assert (value, halvings, len(seen)) == (0.5, 0, 1)
+
+
+def test_backtrack_candidates_are_midpoints_toward_cur():
+    evaluate, seen = _recorded([3.0, 2.0, 1.5, 0.25])
+    point, value, halvings = backtrack(np.array([1.0, 3.0]), np.array([9.0, -5.0]),
+                                       1.0, evaluate)
+    expected = [[9.0, -5.0], [5.0, -1.0], [3.0, 1.0], [2.0, 2.0]]
+    assert len(seen) == 4
+    for got, want in zip(seen, expected):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(point, [2.0, 2.0])
+    assert (value, halvings) == (0.25, 3)
+
+
+def test_backtrack_accepts_value_equal_to_bound():
+    evaluate, _ = _recorded([2.0, 1.0])
+    point, value, halvings = backtrack(np.zeros(1), np.ones(1), 2.0, evaluate)
+    assert (float(point[0]), value, halvings) == (1.0, 2.0, 0)
+
+
+def test_backtrack_gives_up_after_five_evaluations():
+    evaluate, seen = _recorded([5.0] * 6)
+    assert backtrack(np.zeros(3), np.ones(3), 1.0, evaluate) == (None, None, 4)
+    assert len(seen) == 5
+    np.testing.assert_array_equal(seen[-1], np.full(3, 1.0 / 16.0))
+
+
+def test_pose_step_tries_the_twist_halved_from_zero():
+    # every candidate is the Gauss-Newton twist scaled by 1, 1/2, ... 1/16
+    rng = np.random.default_rng(2)
+    jac, res = rng.normal(size=(12, 6)), rng.normal(size=12)
+    step = -np.linalg.solve(jac.T @ jac, jac.T @ res)
+    pose = frontal_pose()
+    seen = []
+
+    def evaluate(cand):
+        seen.append(cand)
+        return 2.0
+    kept, value, twist, halvings = pose_step(pose, jac, res, 1.0, evaluate)
+    assert kept is pose and (value, twist, halvings) == (1.0, None, 4)
+    assert len(seen) == 5
+    for k, got in enumerate(seen):
+        want = apply_twist(pose, step[:3] / 2 ** k, step[3:] / 2 ** k)
+        np.testing.assert_array_equal(got.rotation, want.rotation)
+        np.testing.assert_array_equal(got.translation, want.translation)
 
 
 def test_fixed_point_at_generating_pose(neutral_mesh, neutral_frame, intr):

@@ -305,6 +305,30 @@ def test_sequence_field_count_error_names_line(tmp_path):
     assert err.value.line_number == 3
 
 
+def _named_sequence(name):
+    return BscSequence(("jaw", name), (
+        SequenceFrame(0, 0.0, RigidPose.identity(), np.array([0.25, 0.5])),))
+
+
+@pytest.mark.parametrize("name", ["brow_L", "mouth-open.2", "a b", ""])
+def test_sequence_name_round_trip(tmp_path, name):
+    path = tmp_path / "s.bscseq"
+    write_bsc_sequence(path, _named_sequence(name))
+    assert read_bsc_sequence(path).names == ("jaw", name)
+
+
+@pytest.mark.parametrize("name", [" a", "a ", "a\rb", "a\nb", "a,b", "caf\u00e9"],
+                         ids=["leading-space", "trailing-space", "carriage-return",
+                              "newline", "comma", "non-ascii"])
+def test_sequence_unstorable_name_rejected(tmp_path, name):
+    # each would read back as another name, fail to parse or not encode
+    path = tmp_path / "s.bscseq"
+    with pytest.raises(FormatError) as err:
+        write_bsc_sequence(path, _named_sequence(name))
+    assert repr(name) in str(err.value)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # landmarks (JSON)
 
@@ -402,6 +426,19 @@ def test_alignment_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "a.txt"
     path.write_text("# utterance 1\nsil\n\np\n  aa\n")
     assert read_alignment(path).labels == ("sil", "p", "aa")
+
+
+@pytest.mark.parametrize("write, value", [
+    (write_alignment, FrameAlignment(("sil", "\u00e9"))),
+    (write_bsc_sequence, _named_sequence("caf\u00e9")),
+], ids=["alignment", "sequence"])
+def test_failed_write_leaves_file_unchanged(tmp_path, write, value):
+    path = tmp_path / "old.txt"
+    path.write_bytes(b"previous contents\n")
+    with pytest.raises(FormatError) as err:
+        write(path, value)
+    assert str(path) in str(err.value)
+    assert path.read_bytes() == b"previous contents\n"
 
 
 def test_report_writes_json(tmp_path):
@@ -533,3 +570,24 @@ def test_examples_malformed_entry_rejected(tmp_path, edit, where):
     with pytest.raises(FormatError) as err:
         read_examples(ex_dir)
     assert str(index) in str(err.value) and where in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# every text reader
+
+@pytest.mark.parametrize("reader, name", [
+    (read_mesh, "m.obj"),
+    (read_bsc_sequence, "s.bscseq"),
+    (read_landmarks, "l.json"),
+    (read_manifest, "manifest.json"),
+    (read_viseme_table, "v.txt"),
+    (read_alignment, "a.txt"),
+    (lambda path: read_examples(path.parent), "examples.json"),
+], ids=["mesh", "sequence", "landmarks", "manifest", "viseme-table", "alignment",
+        "examples"])
+def test_non_ascii_byte_names_file(tmp_path, reader, name):
+    path = tmp_path / name
+    path.write_bytes(b"# \xff\n")
+    with pytest.raises(FormatError) as err:
+        reader(path)
+    assert str(path) in str(err.value) and "0xff" in str(err.value)

@@ -1,5 +1,7 @@
 """Quadratic assembly, the L1/box coordinate solver, and frame fitting."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from blendfit import (
     solve_l1_box,
     track_sequence,
 )
+from blendfit import solver
 from blendfit.geometry import apply_twist
 from blendfit.icp import twist_rows
 from blendfit.solver import _GATES, _residual_rows
@@ -300,6 +303,33 @@ def test_fit_frame_recovers_sparse_truth(scene, head, intr):
     assert fit.x.min() >= 0.0 and fit.x.max() <= 1.0
     trace = np.asarray(fit.objective_trace)
     assert (np.diff(trace) <= 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))).all()
+
+
+def test_fit_frame_builds_each_mesh_once(scene, head, intr, monkeypatch):
+    # per outer iteration one mesh for the quadratic, one for scoring the
+    # coefficient step and one for the accepted coefficients; the mesh of
+    # the current coefficients is built once before the loop and kept
+    counts = Counter()
+
+    def counting(name):
+        real = getattr(solver, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("evaluate_mesh", "evaluate_objective", "find_correspondences"):
+        monkeypatch.setattr(solver, name, counting(name))
+    _, frame, landmarks = scene
+    fit_frame(head, frame, landmarks, intr, cfg=SolverConfig(w_r=0.01),
+              init_pose=frontal_pose())
+    iterations = counts["find_correspondences"]
+    assert iterations >= 2
+    # every coefficient step was accepted whole, so no halved candidate
+    # added a mesh
+    assert counts["evaluate_objective"] == iterations
+    assert counts["evaluate_mesh"] == 3 * iterations + 1
 
 
 def test_fit_frame_l1_domination_zeroes_everything(scene, head, intr):

@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Record a benchmark entry: per-metric medians of three runs per workload.
+
+    python3 scripts/record_bench.py BENCH_8.json                    # this checkout
+    python3 scripts/record_bench.py BENCH_7.json --tree ../parent   # another checkout
+    python3 scripts/record_bench.py "$(mktemp)" --smoke             # tiny inputs
+
+Each run is `python3 perfbench/run.py --workload W --seed 1 --seconds 25
+--trace 0`, started in the root of the measured tree, so that tree's own
+benchmark and source are what runs. The runs go in rounds (every workload
+once, three times over), which spreads the host's speed drift over all
+workloads. The entry holds, for each workload, every run's end-to-end
+metrics and their per-metric medians, plus the `# env` lines the runs
+printed, the tree's `git rev-parse HEAD` and whether its tracked files
+differ from that commit (`dirty`). A run that fails its output checks or
+exits non-zero stops the script with exit code 1 and no entry.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("synth-render", "track-warm", "track-cold-noisy")
+RUNS = 3
+SECONDS = 25
+SEED = 1
+
+
+def _run(tree: Path, workload: str, smoke: bool) -> tuple[dict, list]:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(SEED), "--seconds", "1" if smoke else str(SECONDS),
+           "--trace", "0"] + (["--smoke"] if smoke else [])
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if proc.returncode != 0 or not result.get("correct"):
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n"
+                           f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    env = [json.loads(ln[len("# env "):]) for ln in lines if ln.startswith("# env ")]
+    return result, env
+
+
+def _git(tree: Path, *args) -> str:
+    return subprocess.run(["git", *args], capture_output=True, text=True,
+                          cwd=tree).stdout.strip()
+
+
+def record(tree: Path, smoke: bool) -> dict:
+    runs = {w: [] for w in WORKLOADS}
+    envs = []
+    for _ in range(RUNS):
+        for w in WORKLOADS:
+            result, env = _run(tree, w, smoke)
+            runs[w].append(result)
+            envs += [e for e in env if e not in envs]
+    workloads = {}
+    for w, results in runs.items():
+        names = results[0]["metrics"]
+        workloads[w] = {
+            "median": {k: {"value": statistics.median(r["metrics"][k]["value"]
+                                                      for r in results),
+                           "unit": names[k]["unit"]} for k in names},
+            "runs": [{k: v["value"] for k, v in r["metrics"].items()} for r in results],
+            "attempted": [r["attempted"] for r in results],
+            "failed": [r["failed"] for r in results],
+        }
+    return {"commit": _git(tree, "rev-parse", "HEAD") or None,
+            "dirty": bool(_git(tree, "status", "--porcelain", "--untracked-files=no")),
+            "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
+                       f"--seconds {1 if smoke else SECONDS} --trace 0"
+                       + (" --smoke" if smoke else ""),
+            "runs_per_workload": RUNS, "env": envs, "workloads": workloads}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out", type=Path, help="entry to write, e.g. BENCH_8.json")
+    parser.add_argument("--tree", type=Path, default=ROOT,
+                        help="checkout to measure (default: this one)")
+    parser.add_argument("--smoke", action="store_true",
+                        help="perfbench's tiny inputs, one second per run")
+    args = parser.parse_args(argv)
+    try:
+        entry = record(args.tree.resolve(), args.smoke)
+    except RuntimeError as exc:
+        print(f"record_bench: {exc}", file=sys.stderr)
+        return 1
+    args.out.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n",
+                        encoding="ascii")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,6 +20,7 @@ call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -184,6 +185,13 @@ class BlendshapeModel:
     @property
     def vertex_count(self) -> int:
         return self.neutral.vertex_count
+
+    @cached_property
+    def _vertex_basis(self) -> np.ndarray:
+        """The basis as (V, n, 3): row v holds every shape's delta at
+        vertex v, so gathering the rows of a vertex subset is one
+        contiguous block copy per vertex. Built on first use and kept."""
+        return _readonly(self.basis.transpose(1, 0, 2))
 
 
 def validate_bsc(x, n: int | None = None, atol: float = 1e-9) -> np.ndarray:

@@ -392,6 +392,13 @@ def read_alignment(path) -> FrameAlignment:
 
 
 def write_alignment(path, align: FrameAlignment) -> None:
+    for label in align.labels:
+        # the reader cuts each line at '#' and strips it
+        if label.split() != [label] or "#" in label \
+                or not (label.isascii() and label.isprintable()):
+            raise FormatError(f"{path}: phoneme label {label!r} cannot be stored: "
+                              "labels are non-empty printable ASCII without "
+                              "whitespace or '#'")
     _write_text(path, "\n".join(align.labels) + "\n")
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .correspondence import LandmarkSet, landmark_jacobian
 from .geometry import (
+    BehindCameraError,
     BlendshapeModel,
     CameraIntrinsics,
     Mesh,
@@ -197,9 +198,14 @@ def _solve_constrained_vertex(generic, examples, cfg, b0_v, basis_v, vj,
                 f"vertex {vj} landmark system is singular") from exc
 
         # accept only true-objective descent; halve toward current otherwise
-        new, f_new, _ = backtrack(
-            cur, new, f_cur + 1e-15,
-            lambda b: _vertex_objective(examples, cfg, b0_v, b, generic_slice, vj))
+        def score(b):
+            try:
+                return _vertex_objective(examples, cfg, b0_v, b, generic_slice, vj)
+            except BehindCameraError:
+                # a step that moves the vertex behind a camera is a rise
+                return np.inf
+
+        new, f_new, _ = backtrack(cur, new, f_cur + 1e-15, score)
         if new is None:
             break
         step = float(np.max(np.abs(new - cur)))

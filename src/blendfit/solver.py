@@ -13,9 +13,12 @@ averaged; the weights absorb all scaling. Both smooth terms are one
 vector of weighted residual rows (`_residual_rows`), each row a function
 of one vertex. The depth term is exactly quadratic in x; the landmark
 term is linearized once per outer iteration (Gauss-Newton). The
-resulting box-constrained lasso is solved by cyclic coordinate descent
-with a closed-form soft-threshold update, which decreases the objective
-at every single coordinate update.
+quadratic's Jacobian gathers the basis rows of the matched vertices from
+the model's vertex-major (V, n, 3) copy of the basis, built once per
+model. The resulting box-constrained lasso is solved by cyclic
+coordinate descent with a closed-form soft-threshold update, which
+decreases the objective at every single coordinate update; the scalar
+loop runs on Python floats, which round exactly as float64 does.
 
 Frame fitting refreshes the depth correspondences once per outer
 iteration, re-solves the coefficients on the frozen set, then takes one
@@ -28,7 +31,10 @@ alignment of a wrongly-expressed face can slide into a cheaper but
 wrong pose, while the expression solve attributes most displacement
 correctly even on early correspondence sets. Both steps go through
 `icp.backtrack`, halved until they do not increase the objective, so the
-recorded per-iteration trace is non-increasing.
+recorded per-iteration trace is non-increasing. The mesh that scored the
+accepted coefficients is kept for the pose step and the next
+correspondence search, so an outer iteration builds two meshes: one
+for the quadratic and one per scored coefficient candidate.
 """
 
 from __future__ import annotations
@@ -189,8 +195,12 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
 
     The form is ||r + a (x - x_lin)||^2 for the weighted residual rows r
     at `x_lin` and a = dr/dx: exact for the depth term, the Gauss-Newton
-    linearization at `x_lin` for the landmark term. Raises NoDataError
-    when there are neither correspondences nor landmarks.
+    linearization at `x_lin` for the landmark term. a gathers the
+    matched vertices' rows of the model's vertex-major (V, n, 3) basis
+    copy, built on first use, and sums over the three coordinates
+    innermost: the same sums, in the same order, as a gather from the
+    (n, V, 3) basis, so the form is bit-identical to one. Raises
+    NoDataError when there are neither correspondences nor landmarks.
     """
     n = model.n
     x_lin = np.asarray(x_lin, dtype=float)
@@ -206,17 +216,9 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
     verts_cam = pose.apply(evaluate_mesh(model, x_lin).vertices)
     idx, grad, r = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
     # n . (R b) = (R^T n) . b: rotate the m gradients, not the basis
-    a = np.einsum("mc,kmc->mk", grad @ rot, model.basis[:, idx, :])    # (m, n)
+    a = np.einsum("mc,mkc->mk", grad @ rot, model._vertex_basis[idx])   # (m, n)
     h = r - a @ x_lin
     return QuadraticForm(2.0 * (a.T @ a), 2.0 * (a.T @ h), float(h @ h))
-
-
-def _soft(rho: float, lam: float) -> float:
-    if rho > lam:
-        return rho - lam
-    if rho < -lam:
-        return rho + lam
-    return 0.0
 
 
 def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
@@ -232,6 +234,12 @@ def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
     entries are per-sweep values, or per-coordinate-update values when
     record_updates is set. Stops early once a full sweep moves no
     coordinate by more than 1e-10.
+
+    The per-coordinate loop runs on Python floats (g, diag(H) and H x as
+    lists, H x re-listed after each move), which round exactly as NumPy
+    float64 scalars do, so the iterates are those of the NumPy loop, only
+    cheaper. A move updates H x with the row H[k], bit-equal to the
+    column because QuadraticForm symmetrizes H exactly.
     """
     n = q.n
     if x0 is None:
@@ -244,24 +252,33 @@ def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
         raise ValueError("w_r must be non-negative")
 
     H = q.H
-    diag = np.diag(H).copy()
     hx = H @ x
 
     def f() -> float:
         return float(0.5 * x @ hx + q.g @ x + q.c + w_r * np.sum(np.abs(x)))
 
+    g, diag, xs, hxs = q.g.tolist(), np.diag(H).tolist(), x.tolist(), hx.tolist()
     trace = [f()]
     for _ in range(sweeps):
         max_move = 0.0
         for k in range(n):
-            if diag[k] <= 0.0:
+            d = diag[k]
+            if d <= 0.0:
                 continue
-            rho = -(q.g[k] + hx[k] - diag[k] * x[k])
-            new = min(max(_soft(rho, w_r) / diag[k], 0.0), 1.0)
-            delta = new - x[k]
+            rho = -(g[k] + hxs[k] - d * xs[k])
+            # soft threshold at w_r, then clamp to the box
+            if rho > w_r:
+                rho -= w_r
+            elif rho < -w_r:
+                rho += w_r
+            else:
+                rho = 0.0
+            new = min(max(rho / d, 0.0), 1.0)
+            delta = new - xs[k]
             if delta != 0.0:
-                hx += H[:, k] * delta
-                x[k] = new
+                hx += H[k] * delta
+                hxs = hx.tolist()
+                x[k] = xs[k] = new
                 max_move = max(max_move, abs(delta))
             if record_updates:
                 trace.append(f())
@@ -280,13 +297,20 @@ def _objective_on(verts_model, pose, x, corrs: CorrespondenceSet,
     return float(r @ r) + cfg.w_r * float(np.sum(np.abs(x)))
 
 
+def _scored_mesh(model: BlendshapeModel, pose: RigidPose, x, corrs,
+                 landmarks, intr, cfg: SolverConfig):
+    """(objective, mesh) at (pose, x): the mesh it was scored on, for a
+    caller that keeps the coefficients it accepts."""
+    mesh = evaluate_mesh(model, x)
+    return _objective_on(mesh.vertices, pose, x, corrs, landmarks, intr, cfg), mesh
+
+
 def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
                        corrs, landmarks: LandmarkSet | None,
                        intr: CameraIntrinsics | None, cfg: SolverConfig) -> float:
     """Exact (non-linearized) objective value at (pose, x)."""
     x = np.asarray(x, dtype=float)
-    return _objective_on(evaluate_mesh(model, x).vertices, pose, x,
-                         corrs, landmarks, intr, cfg)
+    return _scored_mesh(model, pose, x, corrs, landmarks, intr, cfg)[0]
 
 
 def _pose_step(verts_model, pose, x, corrs, landmarks, intr,
@@ -346,7 +370,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     converged = False
     corr_count = 0
     try:
-        mesh = evaluate_mesh(model, x)
+        mesh = scored = evaluate_mesh(model, x)
         for _ in range(cfg.outer_iterations):
             corrs = find_correspondences(pose.apply(mesh.vertices),
                                          frame, intr, _GATES)
@@ -363,13 +387,17 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
                                       x, cfg)
             x_cand, _ = solve_l1_box(quad, cfg.w_r, x0=x, sweeps=cfg.gs_sweeps)
             # the landmark linearization can overshoot; fall back toward
-            # the previous coefficients until it descends
-            x_cand, f_cand, _ = backtrack(
-                x, x_cand, f_cur,
-                lambda xc: evaluate_objective(model, pose, xc, corrs, landmarks, intr, cfg))
+            # the previous coefficients until it descends. backtrack stops
+            # at the first candidate it accepts, so the last mesh scored is
+            # the accepted one's
+            def score(xc):
+                nonlocal scored
+                f, scored = _scored_mesh(model, pose, xc, corrs, landmarks, intr, cfg)
+                return f
+
+            x_cand, f_cand, _ = backtrack(x, x_cand, f_cur, score)
             if x_cand is not None:
-                x, f_cur = x_cand, f_cand
-                mesh = evaluate_mesh(model, x)
+                x, f_cur, mesh = x_cand, f_cand, scored
 
             pose, f_cur = _pose_step(mesh.vertices, pose, x, corrs,
                                      landmarks, intr, cfg, f_cur)

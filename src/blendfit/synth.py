@@ -24,6 +24,7 @@ blendshapes. It ships as a generator, not a binary asset.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -285,6 +286,7 @@ def generate_sequence(model: BlendshapeModel, script: SequenceScript,
 # ---------------------------------------------------------------------------
 # procedural test head
 
+@functools.cache
 def make_test_head() -> BlendshapeModel:
     """Procedural face-like blendshape model (2032 vertices, 51 shapes).
 
@@ -292,6 +294,8 @@ def make_test_head() -> BlendshapeModel:
     nose, brow ridge, and chin so the surface constrains all six rigid
     degrees of freedom. Each blendshape is a localized smooth bump along
     the local surface normal, centers spread over the face interior.
+    The head is built once per process: every call returns the same
+    immutable model, whose arrays are read-only.
     """
     half_w, half_h = 0.08, 0.11   # face half-extent, meters
     us = np.linspace(-1.0, 1.0, _HEAD_GRID)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -420,6 +421,27 @@ def test_alignment_round_trip(tmp_path):
     path = tmp_path / "a.txt"
     write_alignment(path, align)
     assert read_alignment(path).labels == align.labels
+
+
+@pytest.mark.parametrize("label", ["a-b", "x_1", "~", "'", "ae1", "hh"])
+def test_alignment_labels_round_trip(tmp_path, label):
+    align = FrameAlignment(("sil", label))
+    path = tmp_path / "a.txt"
+    write_alignment(path, align)
+    assert read_alignment(path).labels == align.labels
+
+
+@pytest.mark.parametrize("label", ["", "a b", "a\tb", "a#b", "#", "a\x01", "\u00e9"],
+                         ids=["empty", "space", "tab", "hash", "only-hash", "control",
+                              "non-ascii"])
+def test_alignment_rejects_labels_that_cannot_round_trip(tmp_path, label):
+    # labels stand in for a FrameAlignment, which would refuse the empty one
+    align = SimpleNamespace(labels=("sil", label))
+    path = tmp_path / "a.txt"
+    with pytest.raises(FormatError) as err:
+        write_alignment(path, align)
+    assert str(path) in str(err.value)
+    assert not path.exists()
 
 
 def test_alignment_skips_comments_and_blanks(tmp_path):

@@ -157,6 +157,34 @@ def test_landmark_constraints_consistent_data():
     np.testing.assert_allclose(fitted.basis, model.basis, atol=1e-6)
 
 
+def test_step_behind_the_camera_is_halved_not_fatal():
+    # noisy landmarks pull the full Gauss-Newton step of a constrained
+    # vertex behind the camera; that candidate must count as a rise
+    rng = np.random.default_rng(0)
+    model = random_model(rng)
+    cam = CameraIntrinsics(fx=300.0, fy=300.0, cx=160.0, cy=120.0,
+                           width=320, height=240)
+    pose = frontal_pose(0.4)
+    eye = np.eye(model.n)
+    picks = [0, 4, 8]
+    examples = []
+    for x in [np.zeros(model.n), *eye, *(0.5 * eye)]:
+        scan = _scan(model, x)
+        verts = pose.apply(scan.vertices)
+        pixels = np.stack([project(cam, verts[j]) for j in picks])
+        lms = LandmarkSet(tuple(f"l{j}" for j in picks), picks,
+                          pixels + rng.normal(scale=3.0, size=pixels.shape))
+        examples.append(ExampleExpression(scan, x, landmarks=lms, camera=cam,
+                                          pose=pose))
+    fitted = personalize(model, examples)
+    assert fitted.basis.shape == model.basis.shape
+    assert np.isfinite(fitted.basis).all()
+    for ex in examples:
+        # every constrained vertex stays in front of the camera
+        verts = pose.apply(evaluate_mesh(fitted, ex.activation).vertices)
+        assert (verts[picks, 2] > 0).all()
+
+
 def test_landmarks_require_camera_and_pose():
     model = random_model(np.random.default_rng(11))
     lms = LandmarkSet(("a",), [0], [[5.0, 5.0]])

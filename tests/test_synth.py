@@ -308,8 +308,10 @@ def test_empty_script_rejected(head, head_landmark_ids, intr):
 # procedural test head
 
 def test_test_head_shape_and_determinism():
+    # the cached head against a fresh build
     a = make_test_head()
-    b = make_test_head()
+    b = make_test_head.__wrapped__()
+    assert a is make_test_head() and b is not a
     assert a.n == 51
     assert 1500 <= a.vertex_count <= 3000
     np.testing.assert_array_equal(a.neutral.vertices, b.neutral.vertices)
@@ -334,6 +336,16 @@ def test_test_head_shape_and_determinism():
                 faces += [(q0, q1, q2), (q0, q2, q3)]
     np.testing.assert_array_equal(a.neutral.faces, np.array(faces)[:, ::-1])
     np.testing.assert_array_equal(b.neutral.faces, a.neutral.faces)
+
+
+def test_cached_test_head_is_read_only():
+    head = make_test_head()
+    for arr in (head.neutral.vertices, head.neutral.faces, head.basis,
+                head._vertex_basis):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(AttributeError):
+        head.basis = np.zeros_like(head.basis)
 
 
 def test_frontal_pose_distance():

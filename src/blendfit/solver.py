@@ -12,13 +12,16 @@ with v(x) = b0 + B x pushed through the rigid pose. Sums are raw, not
 averaged; the weights absorb all scaling. Both smooth terms are one
 vector of weighted residual rows (`_residual_rows`), each row a function
 of one vertex. The depth term is exactly quadratic in x; the landmark
-term is linearized once per outer iteration (Gauss-Newton). The
-quadratic's Jacobian gathers the basis rows of the matched vertices from
-the model's vertex-major (V, n, 3) copy of the basis, built once per
-model. The resulting box-constrained lasso is solved by cyclic
-coordinate descent with a closed-form soft-threshold update, which
-decreases the objective at every single coordinate update; the scalar
-loop runs on Python floats, which round exactly as float64 does.
+term is linearized once per outer iteration (Gauss-Newton). Each row
+of the quadratic's Jacobian is computed only for the shapes that move
+the row's vertex, read from the model's per-vertex shape table, built
+once per model; the rest of the row is exact zeros. A model whose
+shapes are not localized enough for the table to pay (a personalized
+basis has no exact zeros) is gathered whole instead. The resulting
+box-constrained lasso is solved by cyclic coordinate descent with a
+closed-form soft-threshold update, which decreases the objective at
+every single coordinate update; the scalar loop runs on Python floats,
+which round exactly as float64 does.
 
 Frame fitting refreshes the depth correspondences once per outer
 iteration, re-solves the coefficients on the frozen set, then takes one
@@ -31,10 +34,13 @@ alignment of a wrongly-expressed face can slide into a cheaper but
 wrong pose, while the expression solve attributes most displacement
 correctly even on early correspondence sets. Both steps go through
 `icp.backtrack`, halved until they do not increase the objective, so the
-recorded per-iteration trace is non-increasing. The mesh that scored the
-accepted coefficients is kept for the pose step and the next
-correspondence search, so an outer iteration builds two meshes: one
-for the quadratic and one per scored coefficient candidate.
+recorded per-iteration trace is non-increasing. The fitter holds one
+evaluation of its current (pose, x): the mesh vertices, the same
+vertices in the camera frame and the residual rows on the current
+correspondence set. The correspondence search, the quadratic and the
+pose step read it, and a scored candidate that is accepted becomes it,
+so an outer iteration builds one mesh per scored coefficient candidate
+and nothing twice.
 """
 
 from __future__ import annotations
@@ -190,17 +196,22 @@ def _residual_rows(verts_cam, corrs: CorrespondenceSet,
 def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
                        corrs, landmarks: LandmarkSet | None,
                        intr: CameraIntrinsics | None, x_lin,
-                       cfg: SolverConfig) -> QuadraticForm:
+                       cfg: SolverConfig, rows=None) -> QuadraticForm:
     """Build the smooth part of the objective as a quadratic in x.
 
     The form is ||r + a (x - x_lin)||^2 for the weighted residual rows r
     at `x_lin` and a = dr/dx: exact for the depth term, the Gauss-Newton
-    linearization at `x_lin` for the landmark term. a gathers the
-    matched vertices' rows of the model's vertex-major (V, n, 3) basis
-    copy, built on first use, and sums over the three coordinates
-    innermost: the same sums, in the same order, as a gather from the
-    (n, V, 3) basis, so the form is bit-identical to one. Raises
-    NoDataError when there are neither correspondences nor landmarks.
+    linearization at `x_lin` for the landmark term. The rows are built
+    here from the mesh of `x_lin`; `rows` is for `fit_frame` alone,
+    which passes the rows of the evaluation it holds at (pose, x_lin) on
+    `corrs` instead. Row i of a is read from the model's table of the
+    shapes that move vertex idx[i], summing over the three coordinates
+    innermost, and scattered into its columns; every other entry is an
+    exact zero. The sums and their order are those of a gather from the
+    full (n, V, 3) basis, so the form is bit-identical to one; for a
+    model whose table is not narrow enough to pay, a is that gather.
+    Raises NoDataError when there are neither correspondences nor
+    landmarks.
     """
     n = model.n
     x_lin = np.asarray(x_lin, dtype=float)
@@ -213,10 +224,17 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
         landmarks.check_vertices(model.vertex_count)
 
     rot = quat_to_matrix(pose.rotation)
-    verts_cam = pose.apply(evaluate_mesh(model, x_lin).vertices)
-    idx, grad, r = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
+    if rows is None:
+        rows = _evaluate_at(model, pose, x_lin, corrs, landmarks, intr, cfg).rows
+    idx, grad, r = rows
+    shapes, deltas = model._shape_table
     # n . (R b) = (R^T n) . b: rotate the m gradients, not the basis
-    a = np.einsum("mc,mkc->mk", grad @ rot, model._vertex_basis[idx])   # (m, n)
+    a = np.einsum("mc,mjc->mj", grad @ rot, deltas[idx])     # (m, w) or (m, n)
+    if shapes is not None:
+        # padded slots land in the extra last column, which is dropped
+        full = np.zeros((len(idx), n + 1))
+        full[np.arange(len(idx))[:, None], shapes[idx]] = a
+        a = full[:, :n]                                              # (m, n)
     h = r - a @ x_lin
     return QuadraticForm(2.0 * (a.T @ a), 2.0 * (a.T @ h), float(h @ h))
 
@@ -265,21 +283,23 @@ def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
             d = diag[k]
             if d <= 0.0:
                 continue
-            rho = -(g[k] + hxs[k] - d * xs[k])
-            # soft threshold at w_r, then clamp to the box
-            if rho > w_r:
-                rho -= w_r
-            elif rho < -w_r:
-                rho += w_r
+            # soft threshold at w_r, then clamp to the box: below +w_r
+            # the thresholded value is at most 0 and clamps to 0, so only
+            # rho - w_r is needed (a NaN rho gives 0, as thresholding did)
+            t = -(g[k] + hxs[k] - d * xs[k]) - w_r
+            if t > 0.0:
+                new = t / d
+                if new > 1.0:
+                    new = 1.0
             else:
-                rho = 0.0
-            new = min(max(rho / d, 0.0), 1.0)
+                new = 0.0
             delta = new - xs[k]
             if delta != 0.0:
                 hx += H[k] * delta
                 hxs = hx.tolist()
                 x[k] = xs[k] = new
-                max_move = max(max_move, abs(delta))
+                if abs(delta) > max_move:
+                    max_move = abs(delta)
             if record_updates:
                 trace.append(f())
         if not record_updates:
@@ -289,20 +309,33 @@ def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
     return x, trace
 
 
-def _objective_on(verts_model, pose, x, corrs: CorrespondenceSet,
-                  landmarks, intr, cfg: SolverConfig) -> float:
-    """Joint objective at (pose, x) for fixed model-space vertices and a
-    frozen correspondence set."""
-    _, _, r = _residual_rows(pose.apply(verts_model), corrs, landmarks, intr, cfg)
-    return float(r @ r) + cfg.w_r * float(np.sum(np.abs(x)))
+@dataclass(frozen=True)
+class _Evaluation:
+    """The objective at one (pose, x) on a frozen correspondence set,
+    with what it was computed from: the mesh vertices of x, those
+    vertices through the pose, and the residual rows (idx, grad, r) on
+    the set."""
+    f: float
+    verts: np.ndarray
+    verts_cam: np.ndarray
+    rows: tuple
 
 
-def _scored_mesh(model: BlendshapeModel, pose: RigidPose, x, corrs,
-                 landmarks, intr, cfg: SolverConfig):
-    """(objective, mesh) at (pose, x): the mesh it was scored on, for a
-    caller that keeps the coefficients it accepts."""
-    mesh = evaluate_mesh(model, x)
-    return _objective_on(mesh.vertices, pose, x, corrs, landmarks, intr, cfg), mesh
+def _evaluate(verts, verts_cam, x, corrs: CorrespondenceSet, landmarks,
+              intr, cfg: SolverConfig) -> _Evaluation:
+    """Evaluate the joint objective at x for the mesh vertices `verts` of
+    x, given as `verts_cam` through the pose."""
+    rows = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
+    r = rows[2]
+    f = float(r @ r) + cfg.w_r * float(np.sum(np.abs(x)))
+    return _Evaluation(f, verts, verts_cam, rows)
+
+
+def _evaluate_at(model: BlendshapeModel, pose: RigidPose, x, corrs,
+                 landmarks, intr, cfg: SolverConfig) -> _Evaluation:
+    """Build the mesh of x and evaluate the joint objective at (pose, x)."""
+    verts = evaluate_mesh(model, x).vertices
+    return _evaluate(verts, pose.apply(verts), x, corrs, landmarks, intr, cfg)
 
 
 def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
@@ -310,26 +343,34 @@ def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
                        intr: CameraIntrinsics | None, cfg: SolverConfig) -> float:
     """Exact (non-linearized) objective value at (pose, x)."""
     x = np.asarray(x, dtype=float)
-    return _scored_mesh(model, pose, x, corrs, landmarks, intr, cfg)[0]
+    return _evaluate_at(model, pose, x, corrs, landmarks, intr, cfg).f
 
 
-def _pose_step(verts_model, pose, x, corrs, landmarks, intr,
-               cfg: SolverConfig, f_cur: float):
+def _pose_step(pose, x, cur: _Evaluation, corrs, landmarks, intr,
+               cfg: SolverConfig):
     """One Gauss-Newton twist step on the pose against the full
     objective, on a frozen correspondence set: the shared step on the
-    twist rows of every weighted residual. Keeps the old pose when every
-    halved step increases the objective or the normal equations are
-    singular."""
-    verts_cam = pose.apply(verts_model)
-    idx, grad, r = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
+    twist rows of every weighted residual, read from `cur`, the
+    evaluation at (pose, x). Returns the accepted pose and its
+    evaluation; keeps the old pose and `cur` when every halved step
+    increases the objective or the normal equations are singular."""
+    idx, grad, r = cur.rows
+    scored = cur
+
+    # pose_step stops at the first candidate it accepts, so the last
+    # evaluation is the accepted pose's
+    def score(cand):
+        nonlocal scored
+        scored = _evaluate(cur.verts, cand.apply(cur.verts), x, corrs,
+                           landmarks, intr, cfg)
+        return scored.f
+
     try:
-        pose, f_cur, _, _ = pose_step(
-            pose, twist_rows(verts_cam[idx], grad), r, f_cur,
-            lambda cand: _objective_on(verts_model, cand, x, corrs, landmarks,
-                                       intr, cfg))
+        pose, _, twist, _ = pose_step(pose, twist_rows(cur.verts_cam[idx], grad),
+                                      r, cur.f, score)
     except DegenerateGeometryError:
-        pass
-    return pose, f_cur
+        return pose, cur
+    return pose, cur if twist is None else scored
 
 
 def fit_frame(model: BlendshapeModel, frame: DepthFrame,
@@ -370,45 +411,46 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     converged = False
     corr_count = 0
     try:
-        mesh = scored = evaluate_mesh(model, x)
+        verts = evaluate_mesh(model, x).vertices
+        # the starting mesh and its camera-frame vertices; each iteration
+        # evaluates them on its fresh correspondence set first
+        cur = scored = _Evaluation(np.nan, verts, pose.apply(verts), ())
         for _ in range(cfg.outer_iterations):
-            corrs = find_correspondences(pose.apply(mesh.vertices),
-                                         frame, intr, _GATES)
+            corrs = find_correspondences(cur.verts_cam, frame, intr, _GATES)
             corr_count = len(corrs)
             if corr_count == 0 and n_land == 0:
                 raise TrackingError("no depth correspondences and no landmarks")
 
-            f_ref = f_cur = _objective_on(mesh.vertices, pose, x, corrs,
-                                          landmarks, intr, cfg)
+            cur = _evaluate(cur.verts, cur.verts_cam, x, corrs, landmarks, intr, cfg)
+            f_ref = cur.f
 
             # coefficients first: the expression solve tolerates slightly
             # stale associations far better than the pose does
             quad = assemble_quadratic(model, pose, corrs, landmarks, intr,
-                                      x, cfg)
+                                      x, cfg, rows=cur.rows)
             x_cand, _ = solve_l1_box(quad, cfg.w_r, x0=x, sweeps=cfg.gs_sweeps)
             # the landmark linearization can overshoot; fall back toward
             # the previous coefficients until it descends. backtrack stops
-            # at the first candidate it accepts, so the last mesh scored is
+            # at the first candidate it accepts, so the last evaluation is
             # the accepted one's
             def score(xc):
                 nonlocal scored
-                f, scored = _scored_mesh(model, pose, xc, corrs, landmarks, intr, cfg)
-                return f
+                scored = _evaluate_at(model, pose, xc, corrs, landmarks, intr, cfg)
+                return scored.f
 
-            x_cand, f_cand, _ = backtrack(x, x_cand, f_cur, score)
+            x_cand, _, _ = backtrack(x, x_cand, cur.f, score)
             if x_cand is not None:
-                x, f_cur, mesh = x_cand, f_cand, scored
+                x, cur = x_cand, scored
 
-            pose, f_cur = _pose_step(mesh.vertices, pose, x, corrs,
-                                     landmarks, intr, cfg, f_cur)
+            pose, cur = _pose_step(pose, x, cur, corrs, landmarks, intr, cfg)
 
-            if trace and f_cur > trace[-1]:
+            if trace and cur.f > trace[-1]:
                 # the refreshed set raised the raw sum and the descent on
                 # it could not get back below the recorded trace; stop
                 # rather than record an increase
                 break
-            trace.append(f_cur)
-            if f_ref - f_cur <= cfg.objective_rel_tol * max(1.0, abs(f_ref)):
+            trace.append(cur.f)
+            if f_ref - cur.f <= cfg.objective_rel_tol * max(1.0, abs(f_ref)):
                 converged = True
                 break
     except BehindCameraError as exc:

@@ -92,6 +92,24 @@ def random_model(rng, side=3, n=4):
                            tuple(f"bs{k:02d}" for k in range(n)))
 
 
+def localized_model(rng, side=4, n=10, width=3):
+    """`random_model` with localized shapes: vertex 0 is moved by no
+    shape and every other vertex by at most `width` shapes, narrow
+    enough for the solver's shape table (5 width < 2n). The other deltas
+    are zero, some of them -0.0, and some moving deltas have a zero
+    coordinate."""
+    from blendfit import BlendshapeModel
+
+    model = random_model(rng, side, n)
+    basis = model.basis.copy()
+    off = np.ones(basis.shape[:2], dtype=bool)                   # (n, V)
+    for v in range(1, model.vertex_count):
+        off[rng.choice(n, size=rng.integers(1, width + 1), replace=False), v] = False
+    basis[off] = np.where(rng.uniform(size=(int(off.sum()), 3)) < 0.5, -0.0, 0.0)
+    basis[rng.uniform(size=basis.shape) < 0.1] = 0.0
+    return BlendshapeModel(model.neutral, basis, model.names)
+
+
 def wall_frame(intr, z=1.0):
     """Depth render of a large camera-facing wall at the given depth."""
     from blendfit import Mesh, RigidPose

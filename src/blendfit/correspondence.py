@@ -16,6 +16,7 @@ A depth value of exactly 0 marks an invalid pixel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,8 @@ class DepthFrame:
             raise ValueError(f"depth image is empty (shape {v.shape})")
         if not np.all(np.isfinite(v)) or v.min() < 0.0:
             raise ValueError("depth values must be finite and >= 0")
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"timestamp {self.timestamp!r} is not finite")
         object.__setattr__(self, "values", _readonly(v))
 
     @property
@@ -236,8 +239,11 @@ class LandmarkSet:
         conf = np.asarray(conf, dtype=np.float64).reshape(-1)
         if not (len(ids) == len(idx) == len(px) == len(conf)):
             raise ValueError("landmark arrays must have equal length")
-        if len(conf) and (conf.min() < 0 or conf.max() > 1):
+        # written so that NaN fails
+        if len(conf) and not (conf.min() >= 0 and conf.max() <= 1):
             raise ValueError("confidences must be in [0, 1]")
+        if not np.isfinite(px).all():
+            raise ValueError("landmark pixels must be finite")
         if len(idx) and idx.min() < 0:
             raise ValueError(f"landmark vertex index {int(idx.min())} is negative")
         if self.image_size is not None and len(px):

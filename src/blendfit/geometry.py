@@ -19,6 +19,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -249,8 +250,12 @@ class RigidPose:
     def __post_init__(self):
         q = np.asarray(self.rotation, dtype=np.float64).reshape(4)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if abs(np.linalg.norm(q) - 1.0) > 1e-9:
+        # NaN fails both checks; kept cheap, as every candidate pose of
+        # the pose step is built here
+        if not abs(np.linalg.norm(q) - 1.0) <= 1e-9:
             raise ValueError(f"quaternion norm {np.linalg.norm(q)!r} not unit")
+        if not all(map(math.isfinite, t.tolist())):
+            raise ValueError(f"translation {t.tolist()!r} is not finite")
         object.__setattr__(self, "rotation", _readonly(q))
         object.__setattr__(self, "translation", _readonly(t))
 
@@ -310,8 +315,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
         if self.width <= 0 or self.height <= 0:

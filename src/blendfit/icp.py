@@ -66,8 +66,9 @@ def twist_rows(points, grads) -> np.ndarray:
 
 def backtrack(cur, full, bound: float, evaluate):
     """(point, value, halvings) for the first of `full` and up to four
-    repeated midpoints 0.5 * (cand + cur) whose `evaluate` is not above
-    `bound`; (None, None, 4) when all five are."""
+    repeated midpoints 0.5 * (cand + cur) whose value, whatever
+    `evaluate` returned for it, compares `<= bound`; (None, None, 4)
+    when none does."""
     cand = full
     for halvings in range(_MAX_HALVINGS + 1):
         value = evaluate(cand)
@@ -81,11 +82,11 @@ def pose_step(pose: RigidPose, jac, res, f_cur: float, evaluate):
     """One Gauss-Newton twist step on `pose` from stacked rows (jac, res).
 
     The twist is backtracked from zero until `evaluate(candidate_pose)`
-    is not above `f_cur`. Returns (pose, value, twist, halvings): the
-    accepted pose, its value and the applied 6-vector twist, or the
-    unchanged `pose`, `f_cur` and twist None when every candidate raised
-    the value. Raises DegenerateGeometryError when the 6x6 normal
-    equations are singular.
+    compares `<= f_cur`. Returns (pose, value, twist, halvings): the
+    accepted pose, what `evaluate` returned for it and the applied
+    6-vector twist, or the unchanged `pose`, `f_cur` itself and twist
+    None when no candidate did. Raises DegenerateGeometryError when the
+    6x6 normal equations are singular.
     """
     jtj = jac.T @ jac
     jtr = jac.T @ res

@@ -6,6 +6,9 @@ decimal string that round-trips the exact float64. Readers reject
 unknown versions and unknown fields instead of guessing. Text files are
 ASCII: any other byte is a FormatError naming the file, and writers
 encode before they open the file, so a failed write leaves it as it was.
+Every number read is finite: NaN or an infinity, in a text record, a
+JSON document (where Python's json module would accept it) or a model's
+arrays, is a FormatError naming the file and the line or field.
 
 Formats
 -------
@@ -32,6 +35,7 @@ alignment       text, one phoneme label per line, '#' comments
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +72,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _float(text: str, source, line_number: int, what: str) -> float:
+    """The finite float a text record spells; anything else is a
+    ParseError at its line."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(source, line_number, f"{what}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(source, line_number, f"{what}: {text!r} is not finite")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # OBJ mesh subset
 
@@ -92,10 +108,7 @@ def read_mesh(path) -> Mesh:
         if kind == "v":
             if len(args) != 3:
                 raise ParseError(path, ln, f"vertex needs 3 coordinates, got {len(args)}")
-            try:
-                vertices.append([float(a) for a in args])
-            except ValueError:
-                raise ParseError(path, ln, f"bad vertex coordinate in {line!r}") from None
+            vertices.append([_float(a, path, ln, "vertex coordinate") for a in args])
         elif kind == "f":
             if len(args) != 3:
                 raise ParseError(
@@ -219,6 +232,9 @@ def read_model(path) -> BlendshapeModel:
     faces = np.frombuffer(blob, dtype="<u4", count=nf * 3, offset=off).reshape(nf, 3)
     off += nf * 3 * 4
     basis = np.frombuffer(blob, dtype="<f8", count=n * nv * 3, offset=off).reshape(n, nv, 3)
+    for what, values in (("neutral vertices", verts), ("basis", basis)):
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path}: {what} must be finite")
     neutral = _construct(str(path), Mesh, verts, faces.astype(np.int64))
     return _construct(str(path), BlendshapeModel, neutral=neutral, basis=basis,
                       names=tuple(names))
@@ -270,9 +286,9 @@ def read_bsc_sequence(path) -> BscSequence:
                 path, ln, f"expected {len(_SEQ_FIXED) + n} fields, got {len(fields)}")
         try:
             frame_index = int(fields[0])
-            vals = [float(v) for v in fields[1:]]
         except ValueError:
-            raise ParseError(path, ln, "non-numeric field") from None
+            raise ParseError(path, ln, f"frame: {fields[0]!r} is not an integer") from None
+        vals = [_float(v, path, ln, column) for v, column in zip(fields[1:], header[1:])]
         coeffs = np.array(vals[8:])
         if coeffs.size and (coeffs.min() < 0.0 or coeffs.max() > 1.0):
             raise FormatError(
@@ -358,10 +374,7 @@ def parse_viseme_table(text: str, source="<string>") -> VisemeTable:
             raise ParseError(source, ln,
                              "cluster rows are: viseme weight phoneme...")
         viseme = parts[0]
-        try:
-            weight = float(parts[1])
-        except ValueError:
-            raise ParseError(source, ln, f"bad weight {parts[1]!r}") from None
+        weight = _float(parts[1], source, ln, "weight")
         if viseme in weights:
             raise ParseError(source, ln, f"viseme {viseme} listed twice")
         weights[viseme] = weight
@@ -635,14 +648,44 @@ def _write_json(path, doc: dict) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+class _JsonConstant(str):
+    """NaN, Infinity or -Infinity in a JSON text, kept by name so that its
+    place can be reported."""
+
+
+def _constant_at(value, where: str) -> tuple[str, str] | None:
+    """(where, name) of the first _JsonConstant in a decoded JSON value,
+    or None."""
+    if isinstance(value, _JsonConstant):
+        return where, value
+    if isinstance(value, dict):
+        items = ((f"{where}.{k}" if where else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for place, item in items:
+        found = _constant_at(item, place)
+        if found is not None:
+            return found
+    return None
+
+
 def _read_json_object(path) -> dict:
-    """The top-level JSON object of `path`."""
+    """The top-level JSON object of `path`. NaN, Infinity and -Infinity,
+    which Python's json module accepts but JSON does not, are a
+    FormatError naming the field."""
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(text, parse_constant=_JsonConstant)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
+    # only a text that spells a constant can hold one
+    found = _constant_at(doc, "") if "NaN" in text or "Infinity" in text else None
+    if found is not None:
+        raise FormatError(f"{path}: {found[0]} is {found[1]}, which JSON does not allow")
     return doc
 
 

@@ -17,6 +17,7 @@ objective, so the result never scores worse than the generic initializer.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,9 @@ class PersonalizeConfig:
     landmark_weight: float = 10.0
 
     def __post_init__(self):
-        if self.basis_regularization < 0 or self.landmark_weight < 0:
-            raise ValueError("weights must be non-negative")
+        if not all(0.0 <= w < math.inf
+                   for w in (self.basis_regularization, self.landmark_weight)):
+            raise ValueError("weights must be finite and non-negative")
 
 
 def _landmark_objective(example: ExampleExpression, b0_v, basis_v, vj) -> float:

@@ -35,18 +35,22 @@ wrong pose, while the expression solve attributes most displacement
 correctly even on early correspondence sets. Both steps go through
 `icp.backtrack`, halved until they do not increase the objective, so the
 recorded per-iteration trace is non-increasing. The fitter holds one
-evaluation of its current (pose, x): the mesh vertices, the same
-vertices in the camera frame and the residual rows on the current
-correspondence set. The correspondence search, the quadratic and the
-pose step read it, and a scored candidate that is accepted becomes it,
-so an outer iteration builds one mesh per scored coefficient candidate
-and nothing twice.
+evaluation of its current (pose, x): the objective, the mesh vertices,
+the same vertices in the camera frame and the residual rows on the
+current correspondence set. The correspondence search, the quadratic
+and the pose step read it. Evaluations compare by their objective, so
+the held one is the bound each step's candidates are scored against,
+and the evaluation the step hands back (the accepted candidate's, or
+the bound itself when every candidate is rejected) is held next; an
+outer iteration builds one mesh per scored coefficient candidate and
+nothing twice.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,12 +115,13 @@ class SolverConfig:
     objective_rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.w_d < 0 or self.w_l < 0 or self.w_r < 0:
-            raise ValueError("weights must be non-negative")
-        if self.outer_iterations < 1 or self.gs_sweeps < 1:
+        # written so that NaN fails every check
+        if not all(0.0 <= w < math.inf for w in (self.w_d, self.w_l, self.w_r)):
+            raise ValueError("weights must be finite and non-negative")
+        if not (self.outer_iterations >= 1 and self.gs_sweeps >= 1):
             raise ValueError("iteration counts must be >= 1")
-        if self.objective_rel_tol <= 0:
-            raise ValueError("objective_rel_tol must be positive")
+        if not 0.0 < self.objective_rel_tol < math.inf:
+            raise ValueError("objective_rel_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,22 @@ class QuadraticForm:
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "c", float(self.c))
+
+    @classmethod
+    def _of_rows(cls, a, h) -> "QuadraticForm":
+        """||a x + h||^2, the fitter's form: H = 2 a^T a is symmetric PSD
+        by construction, so only a non-finite H or g is checked for. H is
+        still symmetrized exactly, as the constructor does, because
+        solve_l1_box updates with rows of H in place of columns."""
+        H = 2.0 * (a.T @ a)
+        g = 2.0 * (a.T @ h)
+        if not (np.isfinite(H).all() and np.isfinite(g).all()):
+            raise ValueError("quadratic form has non-finite entries")
+        q = object.__new__(cls)
+        object.__setattr__(q, "H", 0.5 * (H + H.T))
+        object.__setattr__(q, "g", g)
+        object.__setattr__(q, "c", float(h @ h))
+        return q
 
     @property
     def n(self) -> int:
@@ -236,7 +257,7 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
         full[np.arange(len(idx))[:, None], shapes[idx]] = a
         a = full[:, :n]                                              # (m, n)
     h = r - a @ x_lin
-    return QuadraticForm(2.0 * (a.T @ a), 2.0 * (a.T @ h), float(h @ h))
+    return QuadraticForm._of_rows(a, h)
 
 
 def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
@@ -309,16 +330,17 @@ def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
     return x, trace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class _Evaluation:
     """The objective at one (pose, x) on a frozen correspondence set,
     with what it was computed from: the mesh vertices of x, those
     vertices through the pose, and the residual rows (idx, grad, r) on
-    the set."""
+    the set. Evaluations compare by their objective alone, so one can be
+    the bound that `backtrack` and `pose_step` score candidates against."""
     f: float
-    verts: np.ndarray
-    verts_cam: np.ndarray
-    rows: tuple
+    verts: np.ndarray = field(compare=False)
+    verts_cam: np.ndarray = field(compare=False)
+    rows: tuple = field(compare=False)
 
 
 def _evaluate(verts, verts_cam, x, corrs: CorrespondenceSet, landmarks,
@@ -346,33 +368,6 @@ def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
     return _evaluate_at(model, pose, x, corrs, landmarks, intr, cfg).f
 
 
-def _pose_step(pose, x, cur: _Evaluation, corrs, landmarks, intr,
-               cfg: SolverConfig):
-    """One Gauss-Newton twist step on the pose against the full
-    objective, on a frozen correspondence set: the shared step on the
-    twist rows of every weighted residual, read from `cur`, the
-    evaluation at (pose, x). Returns the accepted pose and its
-    evaluation; keeps the old pose and `cur` when every halved step
-    increases the objective or the normal equations are singular."""
-    idx, grad, r = cur.rows
-    scored = cur
-
-    # pose_step stops at the first candidate it accepts, so the last
-    # evaluation is the accepted pose's
-    def score(cand):
-        nonlocal scored
-        scored = _evaluate(cur.verts, cand.apply(cur.verts), x, corrs,
-                           landmarks, intr, cfg)
-        return scored.f
-
-    try:
-        pose, _, twist, _ = pose_step(pose, twist_rows(cur.verts_cam[idx], grad),
-                                      r, cur.f, score)
-    except DegenerateGeometryError:
-        return pose, cur
-    return pose, cur if twist is None else scored
-
-
 def fit_frame(model: BlendshapeModel, frame: DepthFrame,
               landmarks: LandmarkSet | None, intr: CameraIntrinsics,
               prev: FrameFit | None = None, cfg: SolverConfig | None = None,
@@ -382,9 +377,9 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     Initialization comes from `init_pose` if given, else from `prev`
     (the previous frame's fit), else a depth-centroid guess followed by
     rigid pre-alignment of the neutral mesh. Each outer iteration
-    refreshes the depth correspondences, then alternates a Gauss-Newton
-    pose step with a coefficient re-solve on that frozen set until the
-    full objective stalls; every step is halved until it does not
+    refreshes the depth correspondences, then re-solves the coefficients
+    and takes one Gauss-Newton pose step on that frozen set, until the
+    full objective stalls; each step is halved until it does not
     increase the objective, so the recorded per-iteration trace is
     non-increasing. Raises TrackingError when the frame carries no
     usable data, ValueError when a landmark names a vertex the model
@@ -412,16 +407,14 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     corr_count = 0
     try:
         verts = evaluate_mesh(model, x).vertices
-        # the starting mesh and its camera-frame vertices; each iteration
-        # evaluates them on its fresh correspondence set first
-        cur = scored = _Evaluation(np.nan, verts, pose.apply(verts), ())
+        verts_cam = pose.apply(verts)
         for _ in range(cfg.outer_iterations):
-            corrs = find_correspondences(cur.verts_cam, frame, intr, _GATES)
+            corrs = find_correspondences(verts_cam, frame, intr, _GATES)
             corr_count = len(corrs)
             if corr_count == 0 and n_land == 0:
                 raise TrackingError("no depth correspondences and no landmarks")
 
-            cur = _evaluate(cur.verts, cur.verts_cam, x, corrs, landmarks, intr, cfg)
+            cur = _evaluate(verts, verts_cam, x, corrs, landmarks, intr, cfg)
             f_ref = cur.f
 
             # coefficients first: the expression solve tolerates slightly
@@ -430,19 +423,25 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
                                       x, cfg, rows=cur.rows)
             x_cand, _ = solve_l1_box(quad, cfg.w_r, x0=x, sweeps=cfg.gs_sweeps)
             # the landmark linearization can overshoot; fall back toward
-            # the previous coefficients until it descends. backtrack stops
-            # at the first candidate it accepts, so the last evaluation is
-            # the accepted one's
-            def score(xc):
-                nonlocal scored
-                scored = _evaluate_at(model, pose, xc, corrs, landmarks, intr, cfg)
-                return scored.f
-
-            x_cand, _, _ = backtrack(x, x_cand, cur.f, score)
+            # the previous coefficients until it descends
+            x_cand, scored, _ = backtrack(
+                x, x_cand, cur,
+                lambda xc: _evaluate_at(model, pose, xc, corrs, landmarks, intr, cfg))
             if x_cand is not None:
                 x, cur = x_cand, scored
 
-            pose, cur = _pose_step(pose, x, cur, corrs, landmarks, intr, cfg)
+            # the pose step on the twist rows of every weighted residual;
+            # a singular system keeps the pose
+            verts = cur.verts
+            idx, grad, r = cur.rows
+            try:
+                pose, cur, _, _ = pose_step(
+                    pose, twist_rows(cur.verts_cam[idx], grad), r, cur,
+                    lambda p: _evaluate(verts, p.apply(verts), x, corrs,
+                                        landmarks, intr, cfg))
+            except DegenerateGeometryError:
+                pass
+            verts_cam = cur.verts_cam
 
             if trace and cur.f > trace[-1]:
                 # the refreshed set raised the raw sum and the descent on

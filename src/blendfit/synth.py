@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +63,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.depth_sigma < 0 or self.landmark_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        if not all(0.0 <= s < math.inf for s in (self.depth_sigma, self.landmark_sigma)):
+            raise ValueError("noise sigmas must be finite and >= 0")
         if not 0.0 <= self.landmark_dropout <= 1.0:
             raise ValueError("dropout must be a probability")
 

@@ -189,6 +189,66 @@ def test_track_rejects_malformed_manifest(workspace, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _track_argv(ds, tmp_path, *extra, model="testhead"):
+    return ["track", "--model", str(model), "--dataset", str(ds / "manifest.json"),
+            "--out", str(tmp_path / "o.bscseq"), *extra]
+
+
+def _nan_landmark(workspace, tmp_path):
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace / "ds", ds)
+    lm_path = ds / "landmarks_0001.json"
+    doc = json.loads(lm_path.read_text())
+    doc["points"][0]["u"] = float("nan")
+    lm_path.write_text(json.dumps(doc))
+    return _track_argv(ds, tmp_path), [str(lm_path), "points[0].u is NaN"]
+
+
+def _nan_model_basis(workspace, tmp_path):
+    model = make_test_head()
+    basis = np.array(model.basis)
+    basis[3, 100, 2] = np.nan
+    path = tmp_path / "m.bsbm"
+    bio.write_model(path, type(model)(model.neutral, basis, model.names))
+    return (_track_argv(workspace / "ds", tmp_path, model=path),
+            [str(path), "basis must be finite"])
+
+
+def _nan_weight_flag(workspace, tmp_path):
+    return _track_argv(workspace / "ds", tmp_path, "--wd", "nan"), ["weights"]
+
+
+def _nan_config_value(workspace, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"wd": float("nan")}))
+    return (_track_argv(workspace / "ds", tmp_path, "--config", str(cfg)),
+            [str(cfg), "wd is NaN"])
+
+
+def _nan_script_quaternion(workspace, tmp_path):
+    script = tmp_path / "s.bscseq"
+    _write_script(script, make_test_head(), [{3: 0.5}])
+    lines = script.read_text().splitlines()
+    lines[2] = lines[2].replace(",1.0,", ",nan,", 1)
+    script.write_text("\n".join(lines) + "\n")
+    return (["synth", "--script", str(script), "--out-dir", str(tmp_path / "d")],
+            [f"{script}:3", "qw: 'nan' is not finite"])
+
+
+@pytest.mark.parametrize("case", [_nan_landmark, _nan_model_basis, _nan_weight_flag,
+                                  _nan_config_value, _nan_script_quaternion],
+                         ids=["landmark-file", "model-file", "weight-flag",
+                              "config-file", "script-file"])
+def test_non_finite_input_exits_1(workspace, tmp_path, capsys, case):
+    argv, expected = case(workspace, tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"blendfit {argv[0]}: error:")
+    for text in expected:
+        assert text in err
+    assert "Traceback" not in err
+
+
 def test_config_file_defaults_with_flag_override(tmp_path):
     model = make_test_head()
     script = tmp_path / "s.bscseq"

@@ -7,13 +7,19 @@ from blendfit import (
     BehindCameraError,
     BlendshapeModel,
     BscSequence,
+    CameraIntrinsics,
+    DepthFrame,
     DimensionMismatchError,
     InvalidDepthError,
     IsolatedVertexWarning,
+    LandmarkSet,
     Mesh,
     MeshValidationError,
+    NoiseConfig,
+    PersonalizeConfig,
     RigidPose,
     SequenceFrame,
+    SolverConfig,
     backproject,
     evaluate_mesh,
     pose_delta,
@@ -402,3 +408,43 @@ def test_bsc_sequence_coefficient_matrix():
     mat = seq.coefficient_matrix()
     assert mat.shape == (4, 3)
     np.testing.assert_allclose(mat[:, 0], [0.0, 0.1, 0.2, 0.3], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# non-finite values in validated types
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _pose(q=(1.0, 0.0, 0.0, 0.0), t=(0.0, 0.0, 0.5)):
+    return RigidPose(np.array(q), np.array(t))
+
+
+def _landmarks(px=(10.0, 20.0), conf=1.0, image_size=None):
+    return LandmarkSet(("a",), [0], [px], [conf], image_size=image_size)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _pose(q=(_NAN, 0.0, 0.0, 0.0)),
+    lambda: _pose(t=(0.0, _NAN, 0.5)),
+    lambda: _pose(t=(0.0, 0.0, _INF)),
+    lambda: _landmarks(conf=_NAN),
+    lambda: _landmarks(px=(_NAN, 20.0)),
+    lambda: _landmarks(px=(10.0, _NAN), image_size=(320, 240)),
+    lambda: SolverConfig(w_d=_NAN),
+    lambda: SolverConfig(w_l=_INF),
+    lambda: SolverConfig(objective_rel_tol=_NAN),
+    lambda: NoiseConfig(depth_sigma=_NAN),
+    lambda: NoiseConfig(landmark_sigma=_INF),
+    lambda: PersonalizeConfig(landmark_weight=_NAN),
+    lambda: PersonalizeConfig(basis_regularization=_INF),
+    lambda: CameraIntrinsics(fx=_INF, fy=300.0, cx=160.0, cy=120.0, width=320, height=240),
+    lambda: DepthFrame(np.ones((2, 2)), timestamp=_NAN),
+], ids=["pose-nan-quaternion", "pose-nan-translation", "pose-inf-translation",
+        "landmarks-nan-confidence", "landmarks-nan-pixel", "landmarks-nan-pixel-in-image",
+        "solver-nan-wd", "solver-inf-wl", "solver-nan-tol", "noise-nan-depth-sigma",
+        "noise-inf-landmark-sigma", "personalize-nan-landmark-weight",
+        "personalize-inf-regularization", "camera-inf-fx", "depth-nan-timestamp"])
+def test_validated_types_reject_non_finite(build):
+    with pytest.raises(ValueError):
+        build()

@@ -613,3 +613,116 @@ def test_non_ascii_byte_names_file(tmp_path, reader, name):
     with pytest.raises(FormatError) as err:
         reader(path)
     assert str(path) in str(err.value) and "0xff" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers
+
+def _json_file(path, doc):
+    path.write_text(json.dumps(doc))        # writes float("nan") as NaN
+    return path
+
+
+def _landmarks_nan_u(tmp_path, intr):
+    path = _json_file(tmp_path / "lm.json", {"format": "landmarks", "version": 1,
+                                            "points": [dict(_LM_POINT, u=float("nan"))]})
+    return path, lambda: read_landmarks(path), "points[0].u is NaN"
+
+
+def _manifest_nan_timestamp(tmp_path, intr):
+    ds, manifest = _tiny_dataset(tmp_path, intr)
+    path = ds / "manifest.json"
+    write_manifest(path, manifest)
+    _edit_json(path, lambda d: d["frames"][1].update(timestamp=float("nan")))
+    return path, lambda: read_manifest(path), "frames[1].timestamp is NaN"
+
+
+def _examples_inf_activation(tmp_path, intr):
+    _, ex_dir = _example_dir(tmp_path)
+    path = ex_dir / "examples.json"
+    _edit_json(path, lambda d: d["examples"][1]["activation"].__setitem__(0, float("inf")))
+    return path, lambda: read_examples(ex_dir), "examples[1].activation[0] is Infinity"
+
+
+def _mesh_nan_vertex(tmp_path, intr):
+    path = tmp_path / "m.obj"
+    path.write_text("v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n")
+    return path, lambda: read_mesh(path), ":2: vertex coordinate: 'nan' is not finite"
+
+
+def _sequence_row(tmp_path, row):
+    path = tmp_path / "s.bscseq"
+    path.write_text("bscseq 1\nframe,timestamp,qw,qx,qy,qz,tx,ty,tz,a\n"
+                    "0,0.0,1,0,0,0,0,0,0.5,0.25\n" + row + "\n")
+    return path
+
+
+def _sequence_nan_quaternion(tmp_path, intr):
+    path = _sequence_row(tmp_path, "1,0.1,nan,0,0,0,0,0,0.5,0.25")
+    return path, lambda: read_bsc_sequence(path), ":4: qw: 'nan' is not finite"
+
+
+def _sequence_inf_translation(tmp_path, intr):
+    path = _sequence_row(tmp_path, "1,0.1,1,0,0,0,0,0,-inf,0.25")
+    return path, lambda: read_bsc_sequence(path), ":4: tz: '-inf' is not finite"
+
+
+def _model_with(tmp_path, offset, value):
+    """A valid one-shape model file with one float64 at `offset` bytes
+    past the name table overwritten."""
+    blob = bytearray(_model_blob([b"jaw"], [[0, 1, 2]]))
+    start = struct.calcsize("<4sHIII") + 2 + 3 + offset
+    blob[start:start + 8] = struct.pack("<d", value)
+    path = tmp_path / "m.bsbm"
+    path.write_bytes(bytes(blob))
+    return path
+
+
+def _model_nan_basis(tmp_path, intr):
+    # the neutral's 9 float64 and the face's 3 uint32 come before the basis
+    path = _model_with(tmp_path, 9 * 8 + 3 * 4 + 5 * 8, float("nan"))
+    return path, lambda: read_model(path), "basis must be finite"
+
+
+def _model_inf_neutral(tmp_path, intr):
+    path = _model_with(tmp_path, 4 * 8, float("inf"))
+    return path, lambda: read_model(path), "neutral vertices must be finite"
+
+
+def _depth_with_header(tmp_path, **fields):
+    header = {"fx": 100.0, "ts": 0.0, **fields}
+    path = tmp_path / "d.bsdf"
+    path.write_bytes(struct.pack("<4sHIIffffd", b"BSDF", 1, 2, 1, header["fx"], 100.0,
+                                 1.0, 0.5, header["ts"]) + struct.pack("<2f", 1.0, 1.0))
+    return path
+
+
+def _depth_nan_timestamp(tmp_path, intr):
+    path = _depth_with_header(tmp_path, ts=float("nan"))
+    return path, lambda: read_depth(path), "timestamp nan is not finite"
+
+
+def _depth_inf_focal(tmp_path, intr):
+    path = _depth_with_header(tmp_path, fx=float("inf"))
+    return path, lambda: read_depth(path), "focal lengths must be positive and finite"
+
+
+@pytest.mark.parametrize("case", [
+    _landmarks_nan_u, _manifest_nan_timestamp, _examples_inf_activation,
+    _mesh_nan_vertex, _sequence_nan_quaternion, _sequence_inf_translation,
+    _model_nan_basis, _model_inf_neutral, _depth_nan_timestamp, _depth_inf_focal,
+], ids=["landmarks-nan-u", "manifest-nan-timestamp", "examples-inf-activation",
+        "mesh-nan-vertex", "sequence-nan-quaternion", "sequence-inf-translation",
+        "model-nan-basis", "model-inf-neutral", "depth-nan-timestamp",
+        "depth-inf-focal"])
+def test_non_finite_number_names_file_and_place(tmp_path, intr, case):
+    path, read, where = case(tmp_path, intr)
+    with pytest.raises(FormatError) as err:
+        read()
+    assert str(path) in str(err.value) and where in str(err.value)
+
+
+def test_json_string_spelling_a_constant_loads(tmp_path):
+    path = _json_file(tmp_path / "lm.json", {"format": "landmarks", "version": 1,
+                                            "points": [dict(_LM_POINT, id="NaN")]})
+    assert read_landmarks(path).ids == ("NaN",)

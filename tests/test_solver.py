@@ -101,6 +101,30 @@ def test_assemble_single_correspondence_symbolic():
     assert abs(q.value(np.array([gap]))) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, 1e200], ids=["nan", "overflow"])
+def test_assemble_rejects_non_finite_form(bad):
+    # the fitter's form skips the constructor's symmetry and PSD checks,
+    # which were all that stopped a NaN or an infinity before; a 1e200
+    # delta overflows H = 2 a^T a to inf
+    n = np.array([0.0, 0.0, -1.0])
+    model = _one_vertex_model(np.array([0.0, 0.0, bad]))
+    corr = CorrespondenceSet([0], [model.neutral.vertices[0] + 0.07 * n], [n])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        assemble_quadratic(model, RigidPose.identity(), corr, None, None,
+                           np.zeros(1), SolverConfig(w_d=1.0, w_l=0.0))
+
+
+def test_assembled_form_is_exactly_symmetric(scene, head, intr):
+    # solve_l1_box updates H x with rows of H in place of columns
+    _, frame, landmarks = scene
+    pose = frontal_pose()
+    x_lin = np.random.default_rng(6).uniform(0, 0.5, head.n)
+    corrs = find_correspondences(pose.apply(evaluate_mesh(head, x_lin).vertices),
+                                 frame, intr, _GATES)
+    q = assemble_quadratic(head, pose, corrs, landmarks, intr, x_lin, SolverConfig())
+    assert q.H.tobytes() == q.H.T.copy().tobytes()
+
+
 def test_assemble_zero_weights_gives_zero_form(scene, head, intr):
     _, frame, landmarks = scene
     pose = frontal_pose()
@@ -490,6 +514,47 @@ def test_fit_frame_builds_each_mesh_once(scene, head, intr, monkeypatch):
     # every coefficient step was accepted whole, so no halved candidate
     # added a mesh
     assert counts["evaluate_mesh"] == iterations + 1
+
+
+def test_fit_frame_halved_coefficient_steps_keep_the_trace(scene, head, intr, monkeypatch):
+    # a coefficient solver that overshoots three times past its solution
+    # forces backtrack to halve coefficient steps, a path no unmodified
+    # fit reaches: each halved candidate builds one more mesh. The fit
+    # then reports the objective of the state it returns, on the last
+    # correspondence set, as its last trace value
+    real_solve = solver.solve_l1_box
+
+    def overshooting(q, w_r, x0=None, **kwargs):
+        x, trace = real_solve(q, w_r, x0=x0, **kwargs)
+        return np.clip(x0 + 3.0 * (x - x0), 0.0, 1.0), trace
+
+    meshes = Counter()
+    real_mesh = solver.evaluate_mesh
+
+    def counted_mesh(*args, **kwargs):
+        meshes["calls"] += 1
+        return real_mesh(*args, **kwargs)
+
+    searches = []
+    real_search = solver.find_correspondences
+
+    def captured_search(*args, **kwargs):
+        searches.append(real_search(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(solver, "solve_l1_box", overshooting)
+    monkeypatch.setattr(solver, "evaluate_mesh", counted_mesh)
+    monkeypatch.setattr(solver, "find_correspondences", captured_search)
+    _, frame, landmarks = scene
+    cfg = SolverConfig(w_r=0.01)
+    fit = fit_frame(head, frame, landmarks, intr, cfg=cfg, init_pose=frontal_pose())
+    iterations = len(searches)
+    assert meshes["calls"] > iterations + 1          # some candidates were halved
+    trace = np.asarray(fit.objective_trace)
+    assert (np.diff(trace) <= 0.0).all()
+    assert fit.converged or len(trace) == cfg.outer_iterations
+    assert evaluate_objective(head, fit.pose, fit.x, searches[-1], landmarks, intr,
+                              cfg) == trace[-1]
 
 
 def test_fit_frame_l1_domination_zeroes_everything(scene, head, intr):

@@ -718,7 +718,15 @@ def _number(value, where: str) -> float:
     # bool is an int subclass, but JSON true/false is not a number
     if type(value) not in (int, float):
         raise FormatError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    # past float64's range, json reads a float literal such as 1e999 as
+    # inf, and float() of an integer literal raises OverflowError
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise FormatError(f"{where} is out of float64 range")
+    return number
 
 
 def _integer(value, where: str) -> int:

@@ -78,7 +78,7 @@ from .geometry import (
 from .icp import (
     DegenerateGeometryError,
     InsufficientDataError,
-    align_rigid,
+    align_rigid,  # noqa: F401  not called; perfbench/tracer.py wraps it by this name
     backtrack,
     initial_pose_from_depth,
     pose_step,
@@ -375,8 +375,9 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     """Estimate pose and coefficients for one frame.
 
     Initialization comes from `init_pose` if given, else from `prev`
-    (the previous frame's fit), else a depth-centroid guess followed by
-    rigid pre-alignment of the neutral mesh. Each outer iteration
+    (the previous frame's fit), else the depth-centroid start of
+    `icp.initial_pose_from_depth` (identity when the frame has too little
+    depth), which the pose steps then align. Each outer iteration
     refreshes the depth correspondences, then re-solves the coefficients
     and takes one Gauss-Newton pose step on that frozen set, until the
     full objective stalls; each step is halved until it does not
@@ -394,12 +395,10 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     elif prev is not None:
         pose = prev.pose
     else:
-        pose = RigidPose.identity()
         try:
             pose = initial_pose_from_depth(model.neutral, frame, intr)
-            pose, _ = align_rigid(model.neutral, frame, intr, pose)
-        except (InsufficientDataError, DegenerateGeometryError):
-            pass
+        except InsufficientDataError:
+            pose = RigidPose.identity()
     x = np.zeros(model.n) if prev is None else np.asarray(prev.x, dtype=float).copy()
 
     trace: list[float] = []

@@ -637,6 +637,25 @@ def _manifest_nan_timestamp(tmp_path, intr):
     return path, lambda: read_manifest(path), "frames[1].timestamp is NaN"
 
 
+def _manifest_timestamp_literal(tmp_path, intr, literal):
+    """A valid manifest whose frames[1] timestamp is spelt `literal`,
+    which json.dumps cannot write."""
+    ds, manifest = _tiny_dataset(tmp_path, intr)
+    path = ds / "manifest.json"
+    write_manifest(path, manifest)
+    _edit_json(path, lambda d: d["frames"][1].update(timestamp="@"))
+    path.write_text(path.read_text().replace('"@"', literal))
+    return path, lambda: read_manifest(path), "frames[1] timestamp"
+
+
+def _manifest_overflowing_float_timestamp(tmp_path, intr):
+    return _manifest_timestamp_literal(tmp_path, intr, "1e999")
+
+
+def _manifest_overflowing_integer_timestamp(tmp_path, intr):
+    return _manifest_timestamp_literal(tmp_path, intr, "9" * 400)
+
+
 def _examples_inf_activation(tmp_path, intr):
     _, ex_dir = _example_dir(tmp_path)
     path = ex_dir / "examples.json"
@@ -708,10 +727,12 @@ def _depth_inf_focal(tmp_path, intr):
 
 
 @pytest.mark.parametrize("case", [
-    _landmarks_nan_u, _manifest_nan_timestamp, _examples_inf_activation,
+    _landmarks_nan_u, _manifest_nan_timestamp, _manifest_overflowing_float_timestamp,
+    _manifest_overflowing_integer_timestamp, _examples_inf_activation,
     _mesh_nan_vertex, _sequence_nan_quaternion, _sequence_inf_translation,
     _model_nan_basis, _model_inf_neutral, _depth_nan_timestamp, _depth_inf_focal,
-], ids=["landmarks-nan-u", "manifest-nan-timestamp", "examples-inf-activation",
+], ids=["landmarks-nan-u", "manifest-nan-timestamp", "manifest-1e999-timestamp",
+        "manifest-400-digit-timestamp", "examples-inf-activation",
         "mesh-nan-vertex", "sequence-nan-quaternion", "sequence-inf-translation",
         "model-nan-basis", "model-inf-neutral", "depth-nan-timestamp",
         "depth-inf-focal"])

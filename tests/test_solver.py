@@ -571,6 +571,29 @@ def test_fit_frame_neutral_cold_start(head, head_landmark_ids, intr):
     assert fit.x.max() < 0.02
 
 
+@pytest.mark.parametrize("pose", [
+    RigidPose.from_axis_angle((0.3, 1.0, 0.2), np.deg2rad(12.0), (0.01, -0.01, 0.55)),
+    RigidPose.from_axis_angle((1.0, 0.0, 0.0), np.deg2rad(15.0), (-0.02, 0.01, 0.45)),
+    RigidPose.from_axis_angle((0.0, 0.0, 1.0), np.deg2rad(15.0), (0.0, 0.0, 0.7)),
+], ids=["oblique-12deg", "pitch-15deg", "roll-15deg"])
+def test_fit_frame_cold_start_aligns_without_icp(head, head_landmark_ids, intr,
+                                                 monkeypatch, pose):
+    # a cold fit starts from the depth centroid and its own pose steps
+    # align the head; ICP is never called
+    def no_icp(*args, **kwargs):
+        raise AssertionError("fit_frame called align_rigid")
+
+    monkeypatch.setattr(solver, "align_rigid", no_icp)
+    x_true = sparse_coefficients(head.n, np.random.default_rng(0), active=4)
+    gen = generate_sequence(head, constant_script(x_true, pose, 1),
+                            intr, head_landmark_ids, NoiseConfig())
+    fit = fit_frame(head, gen.frames[0], gen.landmarks[0], intr)
+    rot, trans = pose_delta(fit.pose, pose)
+    assert np.rad2deg(rot) < 0.5
+    assert trans < 0.5e-3
+    assert np.abs(fit.x - x_true).max() < 0.1
+
+
 def test_fit_frame_landmarks_only(scene, head, intr):
     _, _, landmarks = scene
     blank = DepthFrame(np.zeros((intr.height, intr.width), dtype=np.float32))

@@ -13,7 +13,6 @@ front end in `blendfit.cli`.
 from .correspondence import (
     CorrespondenceSet,
     DepthFrame,
-    GateConfig,
     LandmarkSet,
     NoDataError,
     find_correspondences,

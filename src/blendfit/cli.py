@@ -25,7 +25,8 @@ import numpy as np
 
 from . import io
 from .geometry import BscSequence, CameraIntrinsics, evaluate_mesh
-from .icp import DegenerateGeometryError, InsufficientDataError, initial_pose_from_depth
+from .icp import DegenerateGeometryError, InsufficientDataError
+from .icp import initial_pose_from_depth  # noqa: F401  not called; perfbench/tracer.py wraps it by this name
 from .metrics import (
     FrameAlignment,
     UnknownPhonemeError,
@@ -160,16 +161,7 @@ def _cmd_track(args) -> int:
                        outer_iterations=args.outer_iters,
                        gs_sweeps=args.gs_sweeps,
                        objective_rel_tol=args.tol)
-    init = None
-    for frame in frames:
-        try:
-            init = initial_pose_from_depth(model.neutral, frame, manifest.camera)
-            break
-        except InsufficientDataError:
-            continue
-    if init is None:
-        raise TrackingError("no frame has enough valid depth to initialize the pose")
-    result = track_sequence(model, frames, lms, manifest.camera, cfg, init_pose=init)
+    result = track_sequence(model, frames, lms, manifest.camera, cfg)
 
     out = Path(args.out)
     io.write_bsc_sequence(out, result.sequence)

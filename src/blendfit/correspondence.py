@@ -6,10 +6,14 @@ center becomes the correspondence target. The target normal is estimated
 by central differences of the backprojected 4-neighborhood (cross product
 of the u- and v-direction tangents), oriented toward the camera.
 
-Two robustness gates reject unusable matches: a point-distance gate and a
-view-incidence gate that drops targets whose normal is more than
-max_normal_angle away from the direction back to the camera (grazing
-surfaces, where depth-map normals are unreliable).
+Two robustness gates reject unusable matches: a point-distance gate at
+the caller's `max_distance`, and a view-incidence gate that drops targets
+whose normal is more than 60 degrees (`_MAX_NORMAL_ANGLE`) away from the
+direction back to the camera (grazing surfaces, where depth-map normals
+are unreliable). Normals are differenced 1 pixel (`_DEPTH_WINDOW`) either
+side of the matched pixel. Both are fixed, as are the rejection
+thresholds of each ICP variant in Rusinkiewicz & Levoy 2001, "Efficient
+Variants of the ICP Algorithm".
 
 A depth value of exactly 0 marks an invalid pixel.
 """
@@ -26,6 +30,9 @@ from .geometry import (
     CameraIntrinsics,
     _readonly,
 )
+
+_MAX_NORMAL_ANGLE = 60.0    # degrees, view-incidence limit
+_DEPTH_WINDOW = 1           # pixel offset for normal estimation
 
 
 class NoDataError(ValueError):
@@ -97,23 +104,8 @@ class CorrespondenceSet:
         return np.einsum("ij,ij->i", self.normals, v - self.points)
 
 
-@dataclass(frozen=True)
-class GateConfig:
-    """Robustness gates for projective association."""
-
-    max_point_distance: float = 0.02   # meters
-    max_normal_angle: float = 60.0     # degrees, view-incidence limit
-    depth_window: int = 1              # pixel offset for normal estimation
-
-    def __post_init__(self):
-        if self.max_point_distance <= 0 or self.max_normal_angle <= 0:
-            raise ValueError("gates must be positive")
-        if self.depth_window < 1:
-            raise ValueError("depth_window must be >= 1")
-
-
 def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics,
-                         gates: GateConfig) -> CorrespondenceSet:
+                         max_distance: float) -> CorrespondenceSet:
     """Vectorized projective association for a batch of camera-frame vertices.
 
     For each vertex: project to a pixel, read the depth there, estimate
@@ -121,16 +113,20 @@ def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics
     target the intersection of the vertex's own view ray with the tangent
     plane at the backprojected pixel center. The ray cast removes the
     half-pixel tangential quantization a raw pixel-center point carries,
-    and is exact on locally planar surfaces. Distance and incidence gates
-    apply last; vertices that fail any step are simply absent from the
-    result.
+    and is exact on locally planar surfaces. Distance (`max_distance`,
+    meters) and incidence gates apply last; vertices that fail any step
+    are simply absent from the result. Raises ValueError unless
+    `max_distance` is positive.
     """
+    # written so that NaN fails
+    if not max_distance > 0:
+        raise ValueError(f"max_distance must be positive, got {max_distance!r}")
     verts = np.asarray(vertices_cam, dtype=np.float64).reshape(-1, 3)
     m = len(verts)
 
     depth = np.asarray(frame.values, dtype=np.float64)
     h, w = depth.shape
-    win = gates.depth_window
+    win = _DEPTH_WINDOW
 
     keep = verts[:, 2] > 0.0
     uv = np.zeros((m, 2))
@@ -183,7 +179,7 @@ def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics
     target = np.where((grazing | (t <= 0.0))[:, None], anchor, t[:, None] * rays)
 
     # distance gate
-    keep &= np.linalg.norm(verts - target, axis=1) <= gates.max_point_distance
+    keep &= np.linalg.norm(verts - target, axis=1) <= max_distance
 
     # view-incidence gate: angle between the normal and the ray back to
     # the camera
@@ -191,7 +187,7 @@ def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics
     keep &= tlen > 0
     to_cam = -target / np.where(tlen > 0, tlen, 1.0)[:, None]
     cos_inc = np.einsum("ij,ij->i", normal, to_cam)
-    keep &= cos_inc >= np.cos(np.deg2rad(gates.max_normal_angle))
+    keep &= cos_inc >= np.cos(np.deg2rad(_MAX_NORMAL_ANGLE))
 
     idx = np.flatnonzero(keep)
     return CorrespondenceSet(idx, target[idx], normal[idx])

@@ -17,8 +17,10 @@ ICP settings are module constants: at most 30 iterations
 (`_MAX_ITERATIONS`), converged once a step moves less than 0.01 degrees
 (`_ROTATION_EPSILON`) and 1e-5 m (`_TRANSLATION_EPSILON`), at least 6
 matches per pose (`_MIN_CORRESPONDENCES`, the six degrees of freedom),
-matches gated at 5 cm (`_GATES`). `initial_pose_from_depth` needs 50
-valid depth pixels (`_MIN_DEPTH_PIXELS`).
+matches gated at 5 cm (`_MAX_DISTANCE`; the incidence gate and normal
+window are `correspondence`'s `_MAX_NORMAL_ANGLE` and `_DEPTH_WINDOW`).
+`initial_pose_from_depth` needs 50 valid depth pixels
+(`_MIN_DEPTH_PIXELS`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correspondence import DepthFrame, GateConfig, find_correspondences
+from .correspondence import DepthFrame, find_correspondences
 from .geometry import CameraIntrinsics, Mesh, RigidPose, apply_twist
 
 _MAX_HALVINGS = 4
@@ -36,7 +38,7 @@ _MAX_ITERATIONS = 30
 _TRANSLATION_EPSILON = 1e-5     # meters
 _ROTATION_EPSILON = 0.01        # degrees
 _MIN_CORRESPONDENCES = 6
-_GATES = GateConfig(max_point_distance=0.05)
+_MAX_DISTANCE = 0.05            # meters
 _MIN_DEPTH_PIXELS = 50
 
 
@@ -138,7 +140,7 @@ def align_rigid(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
 
     def associate(pose):
         verts = pose.apply(mesh.vertices)
-        corrs = find_correspondences(verts, frame, intr, _GATES)
+        corrs = find_correspondences(verts, frame, intr, _MAX_DISTANCE)
         if len(corrs) < _MIN_CORRESPONDENCES:
             return verts, corrs, np.inf
         return verts, corrs, float(np.mean(corrs.residuals(verts) ** 2))

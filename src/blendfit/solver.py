@@ -57,7 +57,6 @@ import numpy as np
 from .correspondence import (
     CorrespondenceSet,
     DepthFrame,
-    GateConfig,
     LandmarkSet,
     NoDataError,
     find_correspondences,
@@ -87,7 +86,7 @@ from .icp import (
 
 log = logging.getLogger(__name__)
 
-_GATES = GateConfig()
+_MAX_DISTANCE = 0.02            # meters, the depth match gate
 _SWEEP_TOL = 1e-10
 
 
@@ -374,17 +373,17 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
               init_pose: RigidPose | None = None) -> FrameFit:
     """Estimate pose and coefficients for one frame.
 
-    Initialization comes from `init_pose` if given, else from `prev`
-    (the previous frame's fit), else the depth-centroid start of
-    `icp.initial_pose_from_depth` (identity when the frame has too little
-    depth), which the pose steps then align. Each outer iteration
-    refreshes the depth correspondences, then re-solves the coefficients
-    and takes one Gauss-Newton pose step on that frozen set, until the
-    full objective stalls; each step is halved until it does not
-    increase the objective, so the recorded per-iteration trace is
-    non-increasing. Raises TrackingError when the frame carries no
-    usable data, ValueError when a landmark names a vertex the model
-    does not have.
+    The pose starts from `init_pose` if given, else from `prev` (the
+    previous frame's fit), else from the depth-centroid start of
+    `icp.initial_pose_from_depth` on this frame, which the pose steps
+    then align; a frame with too little depth for that start fails with
+    TrackingError. Each outer iteration refreshes the depth
+    correspondences, then re-solves the coefficients and takes one
+    Gauss-Newton pose step on that frozen set, until the full objective
+    stalls; each step is halved until it does not increase the
+    objective, so the recorded per-iteration trace is non-increasing.
+    Raises TrackingError when the frame carries no usable data,
+    ValueError when a landmark names a vertex the model does not have.
     """
     cfg = cfg or SolverConfig()
     n_land = 0 if landmarks is None else len(landmarks)
@@ -397,8 +396,8 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     else:
         try:
             pose = initial_pose_from_depth(model.neutral, frame, intr)
-        except InsufficientDataError:
-            pose = RigidPose.identity()
+        except InsufficientDataError as exc:
+            raise TrackingError(f"no start for a cold fit: {exc}") from exc
     x = np.zeros(model.n) if prev is None else np.asarray(prev.x, dtype=float).copy()
 
     trace: list[float] = []
@@ -408,7 +407,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
         verts = evaluate_mesh(model, x).vertices
         verts_cam = pose.apply(verts)
         for _ in range(cfg.outer_iterations):
-            corrs = find_correspondences(verts_cam, frame, intr, _GATES)
+            corrs = find_correspondences(verts_cam, frame, intr, _MAX_DISTANCE)
             corr_count = len(corrs)
             if corr_count == 0 and n_land == 0:
                 raise TrackingError("no depth correspondences and no landmarks")
@@ -460,13 +459,15 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
 
 
 def track_sequence(model: BlendshapeModel, frames, landmarks_per_frame,
-                   intr: CameraIntrinsics, cfg: SolverConfig | None = None,
-                   init_pose: RigidPose | None = None) -> TrackResult:
+                   intr: CameraIntrinsics,
+                   cfg: SolverConfig | None = None) -> TrackResult:
     """Fit every frame of a sequence, carrying the previous fit forward.
 
     `landmarks_per_frame` is a list parallel to `frames` (entries may be
-    None). Frames that fail to fit are recorded as gaps and do not stop
-    the tracker; if every frame fails, TrackingError is raised.
+    None). Each frame is fit by `fit_frame` from the last fit that
+    succeeded, or cold when there is none yet. Frames that fail to fit
+    are recorded as gaps and do not stop the tracker; if every frame
+    fails, TrackingError is raised with the first frame's reason.
     """
     cfg = cfg or SolverConfig()
     frames = list(frames)
@@ -481,8 +482,7 @@ def track_sequence(model: BlendshapeModel, frames, landmarks_per_frame,
     last_fit = None
     for frame, lm in zip(frames, lms):
         try:
-            fit = fit_frame(model, frame, lm, intr, prev=last_fit, cfg=cfg,
-                            init_pose=init_pose if last_fit is None else None)
+            fit = fit_frame(model, frame, lm, intr, prev=last_fit, cfg=cfg)
         except TrackingError as exc:
             fits.append(None)
             status.append(f"failed: {exc}")
@@ -496,6 +496,7 @@ def track_sequence(model: BlendshapeModel, frames, landmarks_per_frame,
                                         pose=fit.pose,
                                         coefficients=fit.x))
     if last_fit is None:
-        raise TrackingError("all frames failed to fit")
+        first = f": frame {frames[0].frame_index} {status[0]}" if frames else ""
+        raise TrackingError(f"all frames failed to fit{first}")
     seq = BscSequence(names=model.names, frames=tuple(seq_frames))
     return TrackResult(sequence=seq, frame_status=tuple(status), fits=tuple(fits))

@@ -151,7 +151,33 @@ def test_untrackable_dataset_exits_2(tmp_path, capsys):
                "--dataset", str(tmp_path / "manifest.json"),
                "--out", str(tmp_path / "o.bscseq")])
     assert rc == 2
-    assert "failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "failed" in err
+    # the first frame's reason reaches the user
+    assert "0 valid depth pixels" in err
+
+
+def test_frame_without_depth_fails_alone(tmp_path):
+    # frame 0 keeps its landmarks but loses its depth: with no start of
+    # its own it is recorded as failed, frame 1 fits cold and frame 2
+    # from frame 1
+    model = make_test_head()
+    script = tmp_path / "script.bscseq"
+    _write_script(script, model, [{5: 0.5}] * 3)
+    ds = tmp_path / "ds"
+    assert main(["synth", "--script", str(script), "--out-dir", str(ds)]) == 0
+    frame, intr = bio.read_depth(ds / "frame_0000.bsdf")
+    bio.write_depth(ds / "frame_0000.bsdf",
+                    DepthFrame(np.zeros_like(frame.values)), intr)
+    out = tmp_path / "pred.bscseq"
+    assert main(["track", "--model", "testhead",
+                 "--dataset", str(ds / "manifest.json"),
+                 "--out", str(out)]) == 0
+    status = json.loads(out.with_suffix(".diag.json").read_text())["frame_status"]
+    assert status[0].startswith("failed: ")
+    assert "valid depth pixels" in status[0]
+    assert status[1:] == ["ok", "ok"]
+    assert len(bio.read_bsc_sequence(out)) == 2
 
 
 @pytest.mark.parametrize("vertex", [99999, -1, pytest.param(None, id="non-object")])

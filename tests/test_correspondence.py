@@ -8,7 +8,6 @@ from blendfit import (
     CameraIntrinsics,
     CorrespondenceSet,
     DepthFrame,
-    GateConfig,
     LandmarkSet,
     backproject,
     find_correspondences,
@@ -17,12 +16,13 @@ from blendfit import (
 )
 from conftest import wall_frame
 
-WIDE = GateConfig(max_point_distance=1.0, max_normal_angle=85.0)
+WIDE = 1.0     # meters: a distance gate that rejects nothing here
 
 
-def _match_one(vertex, frame, intr, gates):
+def _match_one(vertex, frame, intr, max_distance):
     """One-row batch search: the match of a single vertex, or an empty set."""
-    return find_correspondences(np.reshape(vertex, (1, 3)), frame, intr, gates)
+    return find_correspondences(np.reshape(vertex, (1, 3)), frame, intr,
+                                max_distance)
 
 
 def test_wall_hit_recovers_point_and_normal(intr):
@@ -41,10 +41,34 @@ def test_vertex_off_image_returns_none(intr):
 
 def test_distance_gate_rejects_far_vertex(intr):
     frame = wall_frame(intr)
-    gates = GateConfig(max_point_distance=0.02)
     # projects onto the wall but floats 5 cm in front of it
-    assert len(_match_one((0.0, 0.0, 0.95), frame, intr, gates)) == 0
-    assert len(_match_one((0.0, 0.0, 0.995), frame, intr, gates)) == 1
+    assert len(_match_one((0.0, 0.0, 0.95), frame, intr, 0.02)) == 0
+    assert len(_match_one((0.0, 0.0, 0.995), frame, intr, 0.02)) == 1
+
+
+@pytest.mark.parametrize("max_distance", [0.0, -0.01, float("nan")])
+def test_distance_gate_must_be_positive(intr, max_distance):
+    with pytest.raises(ValueError, match="max_distance"):
+        _match_one((0.0, 0.0, 1.0), wall_frame(intr), intr, max_distance)
+
+
+def _tilted_wall(intr, degrees):
+    """Depth of the plane through (0, 0, 1) whose normal is tilted
+    `degrees` from the optical axis, about the y axis."""
+    a = np.deg2rad(degrees)
+    u = (np.arange(intr.width) + 0.5 - intr.cx) / intr.fx
+    # the ray (u, v, 1) meets the plane at depth cos a / (cos a - u sin a)
+    depth = np.cos(a) / (np.cos(a) - u * np.sin(a))
+    row = np.where(depth > 0.0, depth, 0.0)
+    return DepthFrame(np.tile(row, (intr.height, 1)))
+
+
+@pytest.mark.parametrize("degrees, matches", [(50.0, 1), (70.0, 0)])
+def test_incidence_gate_drops_grazing_surfaces(intr, degrees, matches):
+    # the vertex lies on the wall on the optical axis, so its view ray
+    # meets the wall `degrees` away from the normal; the gate is 60 degrees
+    frame = _tilted_wall(intr, degrees)
+    assert len(_match_one((0.0, 0.0, 1.0), frame, intr, WIDE)) == matches
 
 
 def test_invalid_depth_returns_none(intr):
@@ -84,8 +108,7 @@ def test_gating_is_monotone(intr):
                              rng.uniform(0.97, 1.03, 60)])
     kept = None
     for dist in (0.1, 0.05, 0.02, 0.01, 0.001):
-        got = set(find_correspondences(
-            verts, frame, intr, GateConfig(max_point_distance=dist)).vertex_indices)
+        got = set(find_correspondences(verts, frame, intr, dist).vertex_indices)
         if kept is not None:
             assert got <= kept
         kept = got

@@ -28,7 +28,7 @@ from blendfit import (
 from blendfit import solver
 from blendfit.geometry import apply_twist, quat_to_matrix
 from blendfit.icp import twist_rows
-from blendfit.solver import _GATES, _residual_rows
+from blendfit.solver import _MAX_DISTANCE, _residual_rows
 from blendfit.synth import (
     NoiseConfig,
     constant_script,
@@ -120,7 +120,7 @@ def test_assembled_form_is_exactly_symmetric(scene, head, intr):
     pose = frontal_pose()
     x_lin = np.random.default_rng(6).uniform(0, 0.5, head.n)
     corrs = find_correspondences(pose.apply(evaluate_mesh(head, x_lin).vertices),
-                                 frame, intr, _GATES)
+                                 frame, intr, _MAX_DISTANCE)
     q = assemble_quadratic(head, pose, corrs, landmarks, intr, x_lin, SolverConfig())
     assert q.H.tobytes() == q.H.T.copy().tobytes()
 
@@ -129,7 +129,7 @@ def test_assemble_zero_weights_gives_zero_form(scene, head, intr):
     _, frame, landmarks = scene
     pose = frontal_pose()
     verts = pose.apply(evaluate_mesh(head, np.zeros(head.n)).vertices)
-    corrs = find_correspondences(verts, frame, intr, _GATES)
+    corrs = find_correspondences(verts, frame, intr, _MAX_DISTANCE)
     cfg = SolverConfig(w_d=0.0, w_l=0.0)
     q = assemble_quadratic(head, pose, corrs, landmarks, intr, np.zeros(head.n), cfg)
     assert not q.H.any() and not q.g.any() and q.c == 0.0
@@ -150,7 +150,7 @@ def test_assembled_value_matches_direct_residuals(scene, head, intr):
 
     verts_model = evaluate_mesh(head, x_lin).vertices
     corrs = find_correspondences(pose.apply(verts_model), frame, intr,
-                                 _GATES)
+                                 _MAX_DISTANCE)
     cfg = SolverConfig()
     q = assemble_quadratic(head, pose, corrs, landmarks, intr, x_lin, cfg)
 
@@ -211,7 +211,7 @@ def test_assemble_bit_identical_to_basis_gather(scene, head, intr, with_landmark
     for pose in poses:
         for x_lin in (np.zeros(head.n), rng.uniform(0, 0.5, head.n)):
             corrs = find_correspondences(pose.apply(evaluate_mesh(head, x_lin).vertices),
-                                         frame, intr, _GATES)
+                                         frame, intr, _MAX_DISTANCE)
             assert len(corrs) > 100
             _assert_matches_reference(head, pose, corrs, landmarks, intr, x_lin, cfg)
 
@@ -253,7 +253,7 @@ def turned_scene(head, head_landmark_ids, intr):
                             intr, head_landmark_ids, NoiseConfig())
     x_lin = rng.uniform(0, 0.5, head.n)
     corrs = find_correspondences(pose.apply(evaluate_mesh(head, x_lin).vertices),
-                                 gen.frames[0], intr, _GATES)
+                                 gen.frames[0], intr, _MAX_DISTANCE)
     assert len(corrs) > 500
     return pose, x_lin, corrs, gen.landmarks[0]
 
@@ -460,7 +460,7 @@ def test_solver_bit_identical_on_assembled_quadratic(scene, head, intr):
     pose = frontal_pose()
     x0 = np.clip(x_true + np.random.default_rng(14).normal(scale=0.05, size=head.n), 0, 1)
     corrs = find_correspondences(pose.apply(evaluate_mesh(head, x0).vertices),
-                                 frame, intr, _GATES)
+                                 frame, intr, _MAX_DISTANCE)
     q = assemble_quadratic(head, pose, corrs, landmarks, intr, x0, SolverConfig())
     for record_updates in (False, True):
         _assert_same_solve(q, SolverConfig().w_r, x0=x0, record_updates=record_updates)
@@ -653,10 +653,8 @@ def test_fit_frame_permutation_invariance(scene, head, intr):
 def test_track_single_frame_reduces_to_fit_frame(scene, head, intr):
     _, frame, landmarks = scene
     cfg = SolverConfig(w_r=0.01)
-    res = track_sequence(head, [frame], [landmarks], intr, cfg=cfg,
-                         init_pose=frontal_pose())
-    fit = fit_frame(head, frame, landmarks, intr, cfg=cfg,
-                    init_pose=frontal_pose())
+    res = track_sequence(head, [frame], [landmarks], intr, cfg=cfg)
+    fit = fit_frame(head, frame, landmarks, intr, cfg=cfg)
     assert res.frame_status == ("ok",)
     np.testing.assert_array_equal(res.fits[0].x, fit.x)
     rot, trans = pose_delta(res.fits[0].pose, fit.pose)
@@ -669,7 +667,7 @@ def test_track_constant_sequence(head, head_landmark_ids, intr):
     gen = generate_sequence(head, constant_script(x_true, frontal_pose(), 5),
                             intr, head_landmark_ids, NoiseConfig())
     res = track_sequence(head, gen.frames, gen.landmarks, intr,
-                         cfg=SolverConfig(w_r=0.01), init_pose=frontal_pose())
+                         cfg=SolverConfig(w_r=0.01))
     assert res.frame_status == ("ok",) * 5
     for fit in res.fits:
         assert np.abs(fit.x - x_true).max() <= 0.05
@@ -686,7 +684,7 @@ def test_track_ramp_is_monotone_within_band(head, head_landmark_ids, intr):
     gen = generate_sequence(head, SequenceScript(frames), intr,
                             head_landmark_ids, NoiseConfig())
     res = track_sequence(head, gen.frames, gen.landmarks, intr,
-                         cfg=SolverConfig(w_r=0.01), init_pose=frontal_pose())
+                         cfg=SolverConfig(w_r=0.01))
     rec = np.array([fit.x[k] for fit in res.fits])
     truth = np.arange(count) / (count - 1)
     assert np.abs(rec - truth).max() <= 0.05
@@ -701,7 +699,7 @@ def test_track_records_gaps_and_continues(scene, head, intr):
     third = DepthFrame(frame.values, frame_index=2, timestamp=2 / 30)
     res = track_sequence(head, [first, blank, third],
                          [landmarks, None, landmarks], intr,
-                         cfg=SolverConfig(w_r=0.01), init_pose=frontal_pose())
+                         cfg=SolverConfig(w_r=0.01))
     assert res.frame_status[0] == "ok"
     assert res.frame_status[1].startswith("failed")
     assert res.frame_status[2] == "ok"
@@ -712,8 +710,7 @@ def test_track_records_gaps_and_continues(scene, head, intr):
 def test_track_all_failed_raises(head, intr):
     blank = DepthFrame(np.zeros((intr.height, intr.width), dtype=np.float32))
     with pytest.raises(TrackingError):
-        track_sequence(head, [blank, blank], [None, None], intr,
-                       init_pose=frontal_pose())
+        track_sequence(head, [blank, blank], [None, None], intr)
 
 
 def test_solver_config_validation():

@@ -40,4 +40,4 @@ for i, e in enumerate(diag.mean_errors):
 guess = initial_pose_from_depth(head.neutral, frame, intr)
 rotg, transg = pose_delta(guess, true_pose)
 print(f"\ncentroid-only initial guess lands within {transg * 1e2:.1f} cm; "
-      "a cold fit_frame starts there and its pose steps do the rest")
+      "a cold fit_frame starts there and its joint steps do the rest")

@@ -3,16 +3,22 @@
 
     python3 scripts/record_bench.py BENCH_8.json                    # this checkout
     python3 scripts/record_bench.py BENCH_7.json --tree ../parent   # another checkout
+    python3 scripts/record_bench.py BENCH_13.json --against ../parent BENCH_12.json
     python3 scripts/record_bench.py "$(mktemp)" --smoke             # tiny inputs
 
 Each run is `python3 perfbench/run.py --workload W --seed 1 --seconds 25
 --trace 0`, started in the root of the measured tree, so that tree's own
 benchmark and source are what runs. The runs go in rounds (every workload
 once, three times over), which spreads the host's speed drift over all
-workloads. The entry holds, for each workload, every run's end-to-end
-metrics and their per-metric medians, plus the `# env` lines the runs
-printed, the tree's `git rev-parse HEAD` and whether its tracked files
-differ from that commit (`dirty`). A run that fails its output checks or
+workloads. `--against TREE OUT` measures a second tree in the same
+rounds and writes its entry to OUT: each workload runs on both trees back
+to back, the pair's order flipping from one workload and round to the
+next, so run i of one entry and run i of the other are a pair measured
+at the same host speed. The entry holds, for each workload, every run's
+end-to-end metrics and their per-metric medians, plus the `# env` lines
+the runs printed, the tree's `git rev-parse HEAD`, whether its tracked
+files differ from that commit (`dirty`) and, with `--against`, the other
+tree's commit (`paired_with`). A run that fails its output checks or
 exits non-zero stops the script with exit code 1 and no entry.
 """
 
@@ -51,14 +57,7 @@ def _git(tree: Path, *args) -> str:
                           cwd=tree).stdout.strip()
 
 
-def record(tree: Path, smoke: bool) -> dict:
-    runs = {w: [] for w in WORKLOADS}
-    envs = []
-    for _ in range(RUNS):
-        for w in WORKLOADS:
-            result, env = _run(tree, w, smoke)
-            runs[w].append(result)
-            envs += [e for e in env if e not in envs]
+def _entry(tree: Path, runs: dict, envs: list, smoke: bool) -> dict:
     workloads = {}
     for w, results in runs.items():
         names = results[0]["metrics"]
@@ -78,21 +77,47 @@ def record(tree: Path, smoke: bool) -> dict:
             "runs_per_workload": RUNS, "env": envs, "workloads": workloads}
 
 
+def record(trees: list[Path], smoke: bool) -> list[dict]:
+    """One entry per tree, the trees measured in alternating order."""
+    runs = [{w: [] for w in WORKLOADS} for _ in trees]
+    envs = [[] for _ in trees]
+    for k in range(RUNS):
+        for j, w in enumerate(WORKLOADS):
+            order = list(range(len(trees)))
+            for i in (order if (k + j) % 2 == 0 else order[::-1]):
+                result, env = _run(trees[i], w, smoke)
+                runs[i][w].append(result)
+                envs[i] += [e for e in env if e not in envs[i]]
+    entries = [_entry(t, r, e, smoke) for t, r, e in zip(trees, runs, envs)]
+    if len(entries) == 2:
+        entries[0]["paired_with"] = entries[1]["commit"]
+        entries[1]["paired_with"] = entries[0]["commit"]
+    return entries
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("out", type=Path, help="entry to write, e.g. BENCH_8.json")
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="checkout to measure (default: this one)")
+    parser.add_argument("--against", nargs=2, type=Path, metavar=("TREE", "OUT"),
+                        help="also measure TREE, alternating with the first "
+                             "tree, and write its entry to OUT")
     parser.add_argument("--smoke", action="store_true",
                         help="perfbench's tiny inputs, one second per run")
     args = parser.parse_args(argv)
+    trees, outs = [args.tree.resolve()], [args.out]
+    if args.against:
+        trees.append(args.against[0].resolve())
+        outs.append(args.against[1])
     try:
-        entry = record(args.tree.resolve(), args.smoke)
+        entries = record(trees, args.smoke)
     except RuntimeError as exc:
         print(f"record_bench: {exc}", file=sys.stderr)
         return 1
-    args.out.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n",
-                        encoding="ascii")
+    for out, entry in zip(outs, entries):
+        out.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n",
+                       encoding="ascii")
     return 0
 
 

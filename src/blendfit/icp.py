@@ -1,13 +1,16 @@
 """Rigid alignment of the expression mesh to a depth frame, and the
-Gauss-Newton pose step it shares with the frame fitter.
+twist rows and step-halving rule it shares with the frame fitter.
 
 `twist_rows` linearizes, for a small left twist (3 rotation + 3
 translation), residuals that each depend on one camera-frame point p
-with gradient g: row [p x g, g], with g = n for point-to-plane rows.
+with gradient g: row [p x g, g], with g = n for point-to-plane rows; the
+fitter's joint pose-and-coefficient step eliminates the twist from them.
 `backtrack` halves a step toward its start, up to four times, until the
-caller's value does not rise; the pose step, the coefficient step and
-the rig refinement all use it. `pose_step` solves stacked rows for a
-twist and backtracks it from zero. `align_rigid` is point-to-plane ICP
+caller's value does not rise; the pose step, the fitter's joint step
+and the rig refinement all use it. `pose_step` solves stacked rows for a
+twist and backtracks it from zero; only `align_rigid` takes it, and the
+fitter shares its singularity threshold (`_COND_LIMIT`, on the 6x6
+normal equations). `align_rigid` is point-to-plane ICP
 with projective association on that step, iterated as the fitter
 iterates: candidates are scored on the matches they were solved on,
 and fresh matches at the accepted pose judge the step, so the accepted

@@ -24,26 +24,26 @@ every single coordinate update; the scalar loop runs on Python floats,
 which round exactly as float64 does.
 
 Frame fitting refreshes the depth correspondences once per outer
-iteration, re-solves the coefficients on the frozen set, then takes one
-Gauss-Newton step on the rigid pose against the same full objective:
-`icp.pose_step` on the twist rows of every weighted residual, depth and
-landmark alike, scored on the frozen set.
-The coefficient solve runs first because it tolerates slightly stale
-correspondences far better than the pose does: point-to-plane rigid
-alignment of a wrongly-expressed face can slide into a cheaper but
-wrong pose, while the expression solve attributes most displacement
-correctly even on early correspondence sets. Both steps go through
-`icp.backtrack`, halved until they do not increase the objective, so the
-recorded per-iteration trace is non-increasing. The fitter holds one
-evaluation of its current (pose, x): the objective, the mesh vertices,
-the same vertices in the camera frame and the residual rows on the
-current correspondence set. The correspondence search, the quadratic
-and the pose step read it. Evaluations compare by their objective, so
-the held one is the bound each step's candidates are scored against,
-and the evaluation the step hands back (the accepted candidate's, or
-the bound itself when every candidate is rejected) is held next; an
-outer iteration builds one mesh per scored coefficient candidate and
-nothing twice.
+iteration, then takes one Gauss-Newton step on the rigid pose and the
+coefficients together against the same full objective, on that frozen
+set. The pose enters through the twist rows of every weighted residual,
+depth and landmark alike. The twist has no penalty and no box, so it is
+eliminated exactly (the Schur complement of bundle adjustment, Triggs
+et al. 2000): with J = QR the twist rows, the quadratic in x is built
+from the rows with range(J) projected out, and the twist that goes with
+the solved x is read back from R. When R is too ill-conditioned to fix
+the twist (a plane against a plane), the step moves the coefficients
+alone. The step goes through `icp.backtrack`, halved until it does not
+increase the objective, so the recorded per-iteration trace is
+non-increasing. The fitter holds one evaluation of its current
+(pose, x): the objective, the mesh vertices, the same vertices in the
+camera frame and the residual rows on the current correspondence set.
+The correspondence search and the quadratic read it. Evaluations
+compare by their objective, so the held one is the bound the step's
+candidates are scored against, and the evaluation the step hands back
+(the accepted candidate's, or the bound itself when every candidate is
+rejected) is held next; an outer iteration builds one mesh per scored
+candidate and nothing twice.
 """
 
 from __future__ import annotations
@@ -70,17 +70,17 @@ from .geometry import (
     DimensionMismatchError,
     RigidPose,
     SequenceFrame,
+    apply_twist,
     evaluate_mesh,
     project,
     quat_to_matrix,
 )
 from .icp import (
-    DegenerateGeometryError,
+    _COND_LIMIT,
     InsufficientDataError,
     align_rigid,  # noqa: F401  not called; perfbench/tracer.py wraps it by this name
     backtrack,
     initial_pose_from_depth,
-    pose_step,
     twist_rows,
 )
 
@@ -216,15 +216,23 @@ def _residual_rows(verts_cam, corrs: CorrespondenceSet,
 def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
                        corrs, landmarks: LandmarkSet | None,
                        intr: CameraIntrinsics | None, x_lin,
-                       cfg: SolverConfig, rows=None) -> QuadraticForm:
+                       cfg: SolverConfig, rows=None, eliminate=None):
     """Build the smooth part of the objective as a quadratic in x.
 
     The form is ||r + a (x - x_lin)||^2 for the weighted residual rows r
     at `x_lin` and a = dr/dx: exact for the depth term, the Gauss-Newton
     linearization at `x_lin` for the landmark term. The rows are built
-    here from the mesh of `x_lin`; `rows` is for `fit_frame` alone,
-    which passes the rows of the evaluation it holds at (pose, x_lin) on
-    `corrs` instead. Row i of a is read from the model's table of the
+    here from the mesh of `x_lin`; `rows` and `eliminate` are for
+    `fit_frame` alone. `rows` passes the rows of the evaluation it holds
+    at (pose, x_lin) on `corrs` instead. `eliminate`, the (m, 6) twist
+    rows J of those rows, adds a free twist t to the model,
+    ||r + J t + a (x - x_lin)||^2, and minimizes it out: with J = QR the
+    form is built from a and r with range(J) projected out, and
+    (form, T, t0) is returned, where t = T x + t0 is the minimizing
+    twist at each x. When J has rank below 6 numerically (cond(R)^2
+    above `icp._COND_LIMIT`, `icp.pose_step`'s threshold on J^T J), the
+    twist stays 0: the form is the plain one and T, t0 are zeros.
+    Row i of a is read from the model's table of the
     shapes that move vertex idx[i], summing over the three coordinates
     innermost, and scattered into its columns; every other entry is an
     exact zero. The sums and their order are those of a gather from the
@@ -256,7 +264,15 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
         full[np.arange(len(idx))[:, None], shapes[idx]] = a
         a = full[:, :n]                                              # (m, n)
     h = r - a @ x_lin
-    return QuadraticForm._of_rows(a, h)
+    if eliminate is None:
+        return QuadraticForm._of_rows(a, h)
+    Q, R = np.linalg.qr(eliminate)
+    if R.shape[0] < 6 or np.linalg.cond(R) ** 2 > _COND_LIMIT:
+        return QuadraticForm._of_rows(a, h), np.zeros((6, n)), np.zeros(6)
+    # the twist minimizing ||h + a x + J t|| is -R^-1 Q^T (h + a x)
+    qa, qh = Q.T @ a, Q.T @ h
+    back = -np.linalg.solve(R, np.column_stack([qa, qh]))          # (6, n + 1)
+    return QuadraticForm._of_rows(a - Q @ qa, h - Q @ qh), back[:, :n], back[:, n]
 
 
 def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
@@ -335,7 +351,7 @@ class _Evaluation:
     with what it was computed from: the mesh vertices of x, those
     vertices through the pose, and the residual rows (idx, grad, r) on
     the set. Evaluations compare by their objective alone, so one can be
-    the bound that `backtrack` and `pose_step` score candidates against."""
+    the bound that `backtrack` scores candidates against."""
     f: float
     verts: np.ndarray = field(compare=False)
     verts_cam: np.ndarray = field(compare=False)
@@ -375,13 +391,17 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
 
     The pose starts from `init_pose` if given, else from `prev` (the
     previous frame's fit), else from the depth-centroid start of
-    `icp.initial_pose_from_depth` on this frame, which the pose steps
-    then align; a frame with too little depth for that start fails with
-    TrackingError. Each outer iteration refreshes the depth
-    correspondences, then re-solves the coefficients and takes one
-    Gauss-Newton pose step on that frozen set, until the full objective
-    stalls; each step is halved until it does not increase the
-    objective, so the recorded per-iteration trace is non-increasing.
+    `icp.initial_pose_from_depth` on this frame, which the fitter's own
+    steps then align; a frame with too little depth for that start fails
+    with TrackingError. Each outer iteration refreshes the depth
+    correspondences, then takes one Gauss-Newton step on the pose and
+    the coefficients together on that frozen set: the coefficients are
+    solved on the quadratic with the twist eliminated, the twist is read
+    back from them, and the stacked step is halved toward the current
+    state until it does not increase the objective, so the recorded
+    per-iteration trace is non-increasing. This repeats until the full
+    objective stalls. When the twist rows are singular (a plane against
+    a plane) the step keeps the pose and moves the coefficients alone.
     Raises TrackingError when the frame carries no usable data,
     ValueError when a landmark names a vertex the model does not have.
     """
@@ -415,31 +435,23 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
             cur = _evaluate(verts, verts_cam, x, corrs, landmarks, intr, cfg)
             f_ref = cur.f
 
-            # coefficients first: the expression solve tolerates slightly
-            # stale associations far better than the pose does
-            quad = assemble_quadratic(model, pose, corrs, landmarks, intr,
-                                      x, cfg, rows=cur.rows)
-            x_cand, _ = solve_l1_box(quad, cfg.w_r, x0=x, sweeps=cfg.gs_sweeps)
-            # the landmark linearization can overshoot; fall back toward
-            # the previous coefficients until it descends
-            x_cand, scored, _ = backtrack(
-                x, x_cand, cur,
-                lambda xc: _evaluate_at(model, pose, xc, corrs, landmarks, intr, cfg))
-            if x_cand is not None:
-                x, cur = x_cand, scored
-
-            # the pose step on the twist rows of every weighted residual;
-            # a singular system keeps the pose
-            verts = cur.verts
-            idx, grad, r = cur.rows
-            try:
-                pose, cur, _, _ = pose_step(
-                    pose, twist_rows(cur.verts_cam[idx], grad), r, cur,
-                    lambda p: _evaluate(verts, p.apply(verts), x, corrs,
-                                        landmarks, intr, cfg))
-            except DegenerateGeometryError:
-                pass
-            verts_cam = cur.verts_cam
+            # one Gauss-Newton step on (twist, x): the quadratic has the
+            # twist eliminated, and the twist is read back from the
+            # solved x; the landmark linearization can overshoot, so the
+            # stacked step falls back toward (0, x) until it descends
+            idx, grad, _ = cur.rows
+            quad, T, t0 = assemble_quadratic(
+                model, pose, corrs, landmarks, intr, x, cfg, rows=cur.rows,
+                eliminate=twist_rows(cur.verts_cam[idx], grad))
+            x_new, _ = solve_l1_box(quad, cfg.w_r, x0=x, sweeps=cfg.gs_sweeps)
+            step, scored, _ = backtrack(
+                np.concatenate([np.zeros(6), x]),
+                np.concatenate([T @ x_new + t0, x_new]), cur,
+                lambda s: _evaluate_at(model, apply_twist(pose, s[:3], s[3:6]), s[6:],
+                                       corrs, landmarks, intr, cfg))
+            if step is not None:
+                pose, x, cur = apply_twist(pose, step[:3], step[3:6]), step[6:], scored
+            verts, verts_cam = cur.verts, cur.verts_cam
 
             if trace and cur.f > trace[-1]:
                 # the refreshed set raised the raw sum and the descent on

@@ -26,7 +26,7 @@ from blendfit import (
     track_sequence,
 )
 from blendfit import solver
-from blendfit.geometry import apply_twist, quat_to_matrix
+from blendfit.geometry import apply_twist, project, quat_to_matrix
 from blendfit.icp import twist_rows
 from blendfit.solver import _MAX_DISTANCE, _residual_rows
 from blendfit.synth import (
@@ -296,6 +296,50 @@ def test_pose_rows_match_objective_under_twist(turned_scene, head, intr):
     assert np.abs(analytic - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
+def test_eliminated_twist_gives_the_joint_least_squares_step(intr):
+    # with no L1 weight and a solution inside the box, the step solved on
+    # the form with the twist eliminated, plus the twist read back from
+    # it, is the joint Gauss-Newton step: the least-squares solution of
+    # [J a] (t, x - x_lin) = -r. The form's value there is that
+    # solution's residual, which only holds when r, too, is projected
+    rng = np.random.default_rng(41)
+    model = random_model(rng, side=4, n=6)
+    cfg = SolverConfig(w_r=0.0)
+    x_true = rng.uniform(0.3, 0.7, model.n)
+    truth = RigidPose.from_axis_angle((0.2, 1.0, 0.1), np.deg2rad(8.0), (0.01, 0.0, 0.5))
+    target = truth.apply(evaluate_mesh(model, x_true).vertices)
+    pose = apply_twist(truth, np.deg2rad(1.0) * np.array([0.3, -0.5, 0.8]),
+                       (0.002, -0.001, 0.001))
+    x_lin = x_true + rng.uniform(-0.05, 0.05, model.n)
+    idx = np.concatenate([np.arange(model.vertex_count),
+                          rng.integers(0, model.vertex_count, size=8)])
+    normals = rng.normal(size=(len(idx), 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    corrs = CorrespondenceSet(idx, target[idx], normals)
+    lm_idx = rng.choice(model.vertex_count, size=4, replace=False)
+    landmarks = LandmarkSet(tuple(f"lm{j}" for j in range(4)), lm_idx,
+                            project(intr, target[lm_idx]), np.ones(4))
+
+    verts_cam = pose.apply(evaluate_mesh(model, x_lin).vertices)
+    rows = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
+    ridx, grad, r = rows
+    J = twist_rows(verts_cam[ridx], grad)
+    quad, T, t0 = assemble_quadratic(model, pose, corrs, landmarks, intr, x_lin, cfg,
+                                     rows=rows, eliminate=J)
+    x_new, _ = solve_l1_box(quad, 0.0, x0=x_lin, sweeps=10000)
+    t = T @ x_new + t0
+
+    a = np.einsum("mc,mkc->mk", grad @ quat_to_matrix(pose.rotation),
+                  model.basis.transpose(1, 0, 2)[ridx])
+    ref = np.linalg.lstsq(np.hstack([J, a]), -r, rcond=None)[0]
+    assert (0.0 < x_lin + ref[6:]).all() and (x_lin + ref[6:] < 1.0).all()
+    assert np.abs(ref[:6]).max() > 1e-3                 # the twist moves
+    np.testing.assert_allclose(x_new, x_lin + ref[6:], rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(t, ref[:6], rtol=0.0, atol=1e-9)
+    joint = r + J @ ref[:6] + a @ ref[6:]
+    assert abs(quad.value(x_new) - joint @ joint) <= 1e-9 * max(1.0, joint @ joint)
+
+
 # ---------------------------------------------------------------------------
 # solve_l1_box
 
@@ -485,10 +529,10 @@ def test_fit_frame_recovers_sparse_truth(scene, head, intr):
 
 
 def test_fit_frame_builds_each_mesh_once(scene, head, intr, monkeypatch):
-    # per outer iteration one mesh, for scoring the coefficient step; it is
-    # kept as the accepted coefficients' mesh, so the quadratic and the
-    # pose step reuse it. The mesh of the starting coefficients is built
-    # once before the loop. Calls are counted through the module globals
+    # per outer iteration one mesh, for scoring the joint step; it is
+    # kept as the accepted state's mesh, so the next correspondence search
+    # and quadratic reuse it. The mesh of the starting coefficients is
+    # built once before the loop. Calls are counted through the module globals
     # the fitter looks them up by, which are the names the benchmark's
     # tracer wraps: a call it could not see would count 0 here
     counts = Counter()
@@ -517,16 +561,20 @@ def test_fit_frame_builds_each_mesh_once(scene, head, intr, monkeypatch):
 
 
 def test_fit_frame_halved_coefficient_steps_keep_the_trace(scene, head, intr, monkeypatch):
-    # a coefficient solver that overshoots three times past its solution
-    # forces backtrack to halve coefficient steps, a path no unmodified
-    # fit reaches: each halved candidate builds one more mesh. The fit
-    # then reports the objective of the state it returns, on the last
-    # correspondence set, as its last trace value
+    # a first coefficient solve that returns all ones, far past its
+    # solution, forces backtrack to halve the joint step, a path no
+    # unmodified fit reaches: each halved candidate builds one more mesh.
+    # (A constant overshoot does not do it: the twist is solved from the
+    # overshot coefficients and absorbs much of it.) The fit then reports
+    # the objective of the state it returns, on the last correspondence
+    # set, as its last trace value
     real_solve = solver.solve_l1_box
+    solves = Counter()
 
     def overshooting(q, w_r, x0=None, **kwargs):
         x, trace = real_solve(q, w_r, x0=x0, **kwargs)
-        return np.clip(x0 + 3.0 * (x - x0), 0.0, 1.0), trace
+        solves["calls"] += 1
+        return (np.ones_like(x) if solves["calls"] == 1 else x), trace
 
     meshes = Counter()
     real_mesh = solver.evaluate_mesh
@@ -614,6 +662,22 @@ def test_fit_frame_keeps_pose_when_pose_system_is_singular(intr):
     assert fit.correspondence_count > 0
     np.testing.assert_array_equal(fit.pose.rotation, init.rotation)
     np.testing.assert_array_equal(fit.pose.translation, init.translation)
+
+
+def test_fit_frame_keeps_pose_with_fewer_rows_than_twist(scene, head, intr):
+    # two landmarks and no depth give four residual rows, too few to fix
+    # the six twist components: the pose is kept, the coefficients move
+    _, _, landmarks = scene
+    moved = np.abs(head.basis[:, landmarks.vertex_indices]).sum(axis=(0, 2))
+    pick = np.argsort(moved)[-2:]                  # two that shapes move
+    two = LandmarkSet(tuple(landmarks.ids[k] for k in pick), landmarks.vertex_indices[pick],
+                      landmarks.pixels[pick] + 3.0, landmarks.confidences[pick])
+    blank = DepthFrame(np.zeros((intr.height, intr.width), dtype=np.float32))
+    init = frontal_pose()
+    fit = fit_frame(head, blank, two, intr, cfg=SolverConfig(w_r=0.0), init_pose=init)
+    np.testing.assert_array_equal(fit.pose.rotation, init.rotation)
+    np.testing.assert_array_equal(fit.pose.translation, init.translation)
+    assert fit.objective_trace[-1] < fit.objective_trace[0]
 
 
 def test_fit_frame_requires_some_data(head, intr):

@@ -124,7 +124,7 @@ def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics
     verts = np.asarray(vertices_cam, dtype=np.float64).reshape(-1, 3)
     m = len(verts)
 
-    depth = np.asarray(frame.values, dtype=np.float64)
+    depth = frame.values        # float32; only the samples read are widened
     h, w = depth.shape
     win = _DEPTH_WINDOW
 
@@ -141,11 +141,10 @@ def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics
 
     ixc = np.clip(ix, win, max(w - 1 - win, win))
     iyc = np.clip(iy, win, max(h - 1 - win, win))
-    d0 = depth[iyc, ixc]
-    dxp = depth[iyc, ixc + win]
-    dxm = depth[iyc, ixc - win]
-    dyp = depth[iyc + win, ixc]
-    dym = depth[iyc - win, ixc]
+    # the pixel and its four neighbours, as offsets into the flat image
+    at = iyc * w + ixc
+    d0, dxp, dxm, dyp, dym = depth.ravel()[
+        at + np.array([0, win, -win, w * win, -w * win])[:, None]].astype(np.float64)
     keep &= (d0 > 0) & (dxp > 0) & (dxm > 0) & (dyp > 0) & (dym > 0)
 
     def lift(u_idx, v_idx, d):

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Record a benchmark entry: per-metric medians of three runs per workload.
+"""Record a benchmark entry: per-metric medians of ten runs per workload.
 
     python3 scripts/record_bench.py BENCH_8.json                    # this checkout
     python3 scripts/record_bench.py BENCH_7.json --tree ../parent   # another checkout
-    python3 scripts/record_bench.py BENCH_13.json --against ../parent BENCH_12.json
+    python3 scripts/record_bench.py BENCH_14.json --against ../parent BENCH_14_parent.json
     python3 scripts/record_bench.py "$(mktemp)" --smoke             # tiny inputs
 
 Each run is `python3 perfbench/run.py --workload W --seed 1 --seconds 25
 --trace 0`, started in the root of the measured tree, so that tree's own
 benchmark and source are what runs. The runs go in rounds (every workload
-once, three times over), which spreads the host's speed drift over all
+once, ten times over), which spreads the host's speed drift over all
 workloads. `--against TREE OUT` measures a second tree in the same
 rounds and writes its entry to OUT: each workload runs on both trees back
 to back, the pair's order flipping from one workload and round to the
@@ -18,8 +18,13 @@ at the same host speed. The entry holds, for each workload, every run's
 end-to-end metrics and their per-metric medians, plus the `# env` lines
 the runs printed, the tree's `git rev-parse HEAD`, whether its tracked
 files differ from that commit (`dirty`) and, with `--against`, the other
-tree's commit (`paired_with`). A run that fails its output checks or
-exits non-zero stops the script with exit code 1 and no entry.
+tree's commit (`paired_with`) and, per workload and metric, `pairs`: how
+many pairs this tree won, lost and tied (better as `BENCHMARK.json`
+defines it) and the quartiles of this tree's runs and of the other's.
+A gain may be claimed when the change won at least nine pairs in ten and
+the medians differ by more than the parent's distance between quartiles.
+A run that fails its output checks or exits non-zero stops the script
+with exit code 1 and no entry.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("synth-render", "track-warm", "track-cold-noisy")
-RUNS = 3
+RUNS = 10
 SECONDS = 25
 SEED = 1
 
@@ -77,6 +82,25 @@ def _entry(tree: Path, runs: dict, envs: list, smoke: bool) -> dict:
             "runs_per_workload": RUNS, "env": envs, "workloads": workloads}
 
 
+def _quartiles(values) -> list:
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def _pairs(runs: list, other: list, lower_is_better: dict) -> dict:
+    """Per metric: the pairs these runs won, lost and tied against the
+    other tree's run i, and both sides' quartiles."""
+    out = {}
+    for k, lower in lower_is_better.items():
+        mine, theirs = [r[k] for r in runs], [r[k] for r in other]
+        better = [(a < b) if lower else (a > b) for a, b in zip(mine, theirs)]
+        tied = sum(a == b for a, b in zip(mine, theirs))
+        out[k] = {"won": sum(better), "tied": tied,
+                  "lost": len(mine) - sum(better) - tied,
+                  "quartiles": _quartiles(mine),
+                  "paired_quartiles": _quartiles(theirs)}
+    return out
+
+
 def record(trees: list[Path], smoke: bool) -> list[dict]:
     """One entry per tree, the trees measured in alternating order."""
     runs = [{w: [] for w in WORKLOADS} for _ in trees]
@@ -90,8 +114,13 @@ def record(trees: list[Path], smoke: bool) -> list[dict]:
                 envs[i] += [e for e in env if e not in envs[i]]
     entries = [_entry(t, r, e, smoke) for t, r, e in zip(trees, runs, envs)]
     if len(entries) == 2:
-        entries[0]["paired_with"] = entries[1]["commit"]
-        entries[1]["paired_with"] = entries[0]["commit"]
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+        for me, other in ((0, 1), (1, 0)):
+            entries[me]["paired_with"] = entries[other]["commit"]
+            for w, wl in entries[me]["workloads"].items():
+                wl["pairs"] = _pairs(wl["runs"], entries[other]["workloads"][w]["runs"],
+                                     lower)
     return entries
 
 

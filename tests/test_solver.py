@@ -442,9 +442,12 @@ def _soft_reference(rho, lam):
     return 0.0
 
 
-def _solve_l1_box_reference(q, w_r, x0=None, sweeps=50, record_updates=False):
+def _solve_l1_box_reference(q, w_r, x0=None, sweeps=50, record_updates=False,
+                            face_step=True):
     """solve_l1_box as it was before the Python-float loop: the same
-    coordinate descent on NumPy scalars, updating with the column H[:, k]."""
+    coordinate descent on NumPy scalars, updating with the column H[:, k],
+    and the same face step after each sweep that moved; `face_step=False`
+    is plain coordinate descent."""
     n = q.n
     x = np.zeros(n) if x0 is None else np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     H = q.H
@@ -473,6 +476,29 @@ def _solve_l1_box_reference(q, w_r, x0=None, sweeps=50, record_updates=False):
             trace.append(f())
         if max_move <= 1e-10:
             break
+        if not face_step:
+            continue
+        free = (diag > 0.0) & (x > 0.0) & (x < 1.0)
+        if not free.any():
+            continue
+        bound = x.copy()
+        bound[free] = 0.0
+        try:
+            y = np.linalg.solve(H[np.ix_(free, free)],
+                                -(q.g[free] + w_r + H[free] @ bound))
+        except np.linalg.LinAlgError:
+            continue
+        if not ((y > 0.0).all() and (y < 1.0).all()):
+            continue
+        x_prev, hx_prev = x, hx
+        x = x.copy()
+        x[free] = y
+        hx = H @ x
+        f_face = f()
+        if f_face < trace[-1]:
+            trace.append(f_face)
+        else:
+            x, hx = x_prev, hx_prev
     return x, trace
 
 
@@ -508,6 +534,73 @@ def test_solver_bit_identical_on_assembled_quadratic(scene, head, intr):
     q = assemble_quadratic(head, pose, corrs, landmarks, intr, x0, SolverConfig())
     for record_updates in (False, True):
         _assert_same_solve(q, SolverConfig().w_r, x0=x0, record_updates=record_updates)
+
+
+def _kkt_violation(q, w_r, x):
+    """Largest violation of the box-lasso optimality conditions at x: the
+    gradient H x + g + w_r is 0 on free coordinates, >= 0 at 0, <= 0 at 1."""
+    grad = q.H @ x + q.g + w_r
+    free = (x > 0.0) & (x < 1.0)
+    return max(np.abs(grad[free]).max(initial=0.0),
+               (-grad[x == 0.0]).max(initial=0.0),
+               grad[x == 1.0].max(initial=0.0))
+
+
+def test_solver_face_step_solves_ill_conditioned_instance():
+    # six nearly parallel columns (cond(H) in the thousands): coordinate
+    # descent crawls along the valley and stops at the 50-sweep cap
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(20, 1)) + 0.1 * rng.normal(size=(20, 6))
+    b = a @ rng.uniform(0.3, 0.6, 6)
+    q = QuadraticForm(2.0 * a.T @ a, -2.0 * a.T @ b, float(b @ b))
+    w_r = 1e-3
+    x_cd, trace_cd = _solve_l1_box_reference(q, w_r, face_step=False)
+    assert len(trace_cd) == 51 and _kkt_violation(q, w_r, x_cd) > 1e-3
+    x, trace = solve_l1_box(q, w_r)
+    assert len(trace) < 10
+    assert _kkt_violation(q, w_r, x) <= 1e-9
+    assert np.diff(trace).max() <= 1e-12 * abs(trace[0])
+
+
+def test_solver_skips_singular_face_step(monkeypatch):
+    # columns 0 and 1 are identical, so once both are free H[F, F] is
+    # exactly singular: the face step is skipped and the solve is plain
+    # coordinate descent
+    rng = np.random.default_rng(18)
+    a = rng.normal(size=(8, 4))
+    a[:, 1] = a[:, 0]
+    q = QuadraticForm(a.T @ a, -a.T @ (a @ np.array([0.3, 0.3, 0.5, 0.6])), 0.0)
+    real_solve, raised = np.linalg.solve, []
+
+    def recording(*args):
+        try:
+            return real_solve(*args)
+        except np.linalg.LinAlgError:
+            raised.append(True)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    x0 = np.array([0.2, 0.4, 0.1, 0.1])
+    x, trace = solve_l1_box(q, 0.01, x0=x0)
+    monkeypatch.undo()
+    assert raised
+    assert 0.0 < x[0] < 1.0 and 0.0 < x[1] < 1.0
+    assert np.diff(trace).max() <= 1e-12 * abs(trace[0])
+    x_cd, trace_cd = _solve_l1_box_reference(q, 0.01, x0=x0, face_step=False)
+    assert x.tobytes() == x_cd.tobytes()
+    assert np.array(trace).tobytes() == np.array(trace_cd).tobytes()
+
+
+@pytest.mark.parametrize("w_r", [np.nan, np.inf, -0.1])
+def test_solver_rejects_bad_weight(w_r):
+    with pytest.raises(ValueError, match="w_r"):
+        solve_l1_box(_separable([0.8, 0.8]), w_r)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solver_rejects_non_finite_start(bad):
+    with pytest.raises(ValueError, match="x0"):
+        solve_l1_box(_separable([0.8, 0.8]), 0.1, x0=np.array([0.5, bad]))
 
 
 # ---------------------------------------------------------------------------

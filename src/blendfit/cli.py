@@ -60,7 +60,11 @@ _VALIDATION_ERRORS = (
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems are exit code 1, not argparse's default 2
+    # usage problems are exit code 1, not argparse's default 2; flags are
+    # spelled in full, because the --config overlay knows only full names
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -157,10 +161,7 @@ def _cmd_track(args) -> int:
 
     frames = [f for f, _, _ in loaded]
     lms = [lm for _, _, lm in loaded]
-    cfg = SolverConfig(w_d=args.wd, w_l=args.wl, w_r=args.wr,
-                       outer_iterations=args.outer_iters,
-                       gs_sweeps=args.gs_sweeps,
-                       objective_rel_tol=args.tol)
+    cfg = SolverConfig(w_d=args.wd, w_l=args.wl, w_r=args.wr)
     result = track_sequence(model, frames, lms, manifest.camera, cfg)
 
     out = Path(args.out)
@@ -286,15 +287,6 @@ def _build_parser() -> _Parser:
                    help=f"landmark term weight, 1/px^2 (default: {SolverConfig.w_l})")
     p.add_argument("--wr", type=float, default=SolverConfig.w_r,
                    help=f"L1 sparsity weight, unitless (default: {SolverConfig.w_r})")
-    p.add_argument("--outer-iters", type=int, default=SolverConfig.outer_iterations,
-                   help="outer pose/coefficient alternations "
-                        f"(default: {SolverConfig.outer_iterations})")
-    p.add_argument("--gs-sweeps", type=int, default=SolverConfig.gs_sweeps,
-                   help="coordinate descent sweeps per outer iteration "
-                        f"(default: {SolverConfig.gs_sweeps})")
-    p.add_argument("--tol", type=float, default=SolverConfig.objective_rel_tol,
-                   help="relative objective tolerance "
-                        f"(default: {SolverConfig.objective_rel_tol})")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for frame loading; results are "
                         "identical for any value (default: 1)")

@@ -111,9 +111,10 @@ def initial_pose_from_depth(mesh: Mesh, frame: DepthFrame,
     """Coarse pose guess: translate the mesh centroid onto the centroid
     of the observed depth cloud, identity rotation.
 
-    Good enough to seed ICP for roughly frontal captures. Raises
-    InsufficientDataError when the frame has fewer than 50 valid depth
-    values.
+    Every cold `solver.fit_frame` starts from it, and the fitter's joint
+    steps do the alignment, so it only has to be close enough for
+    roughly frontal captures. Raises InsufficientDataError when the
+    frame has fewer than 50 valid depth values.
     """
     from .geometry import backproject
 

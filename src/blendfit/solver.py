@@ -94,6 +94,8 @@ log = logging.getLogger(__name__)
 
 _MAX_DISTANCE = 0.02            # meters, the depth match gate
 _SWEEP_TOL = 1e-10
+_MAX_ITERATIONS = 10            # outer iterations of one fit_frame
+_OBJECTIVE_REL_TOL = 1e-6       # fit_frame's stall rule
 
 
 class TrackingError(RuntimeError):
@@ -102,7 +104,7 @@ class TrackingError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Weights and iteration limits for coefficient fitting.
+    """The weights of the objective's three terms.
 
     Weights assume depths in meters and landmarks in pixels. w_d must be
     large enough that a residual rigid mis-explanation of the depth map
@@ -115,18 +117,11 @@ class SolverConfig:
     w_d: float = 200.0
     w_l: float = 8e-3
     w_r: float = 0.05
-    outer_iterations: int = 10
-    gs_sweeps: int = 50
-    objective_rel_tol: float = 1e-6
 
     def __post_init__(self):
         # written so that NaN fails every check
         if not all(0.0 <= w < math.inf for w in (self.w_d, self.w_l, self.w_r)):
             raise ValueError("weights must be finite and non-negative")
-        if not (self.outer_iterations >= 1 and self.gs_sweeps >= 1):
-            raise ValueError("iteration counts must be >= 1")
-        if not 0.0 < self.objective_rel_tol < math.inf:
-            raise ValueError("objective_rel_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -440,9 +435,13 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     solved on the quadratic with the twist eliminated, the twist is read
     back from them, and the stacked step is halved toward the current
     state until it does not increase the objective, so the recorded
-    per-iteration trace is non-increasing. This repeats until the full
-    objective stalls. When the twist rows are singular (a plane against
-    a plane) the step keeps the pose and moves the coefficients alone.
+    per-iteration trace is non-increasing. This repeats until an
+    iteration lowers the full objective by at most `_OBJECTIVE_REL_TOL`
+    of its start value (the fit converged), for at most
+    `_MAX_ITERATIONS` iterations; each coefficient solve is capped by
+    `solve_l1_box`'s default sweep count. When the twist rows are
+    singular (a plane against a plane) the step keeps the pose and moves
+    the coefficients alone.
     Raises TrackingError when the frame carries no usable data,
     ValueError when a landmark names a vertex the model does not have.
     """
@@ -467,7 +466,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     try:
         verts = evaluate_mesh(model, x).vertices
         verts_cam = pose.apply(verts)
-        for _ in range(cfg.outer_iterations):
+        for _ in range(_MAX_ITERATIONS):
             corrs = find_correspondences(verts_cam, frame, intr, _MAX_DISTANCE)
             corr_count = len(corrs)
             if corr_count == 0 and n_land == 0:
@@ -484,7 +483,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
             quad, T, t0 = assemble_quadratic(
                 model, pose, corrs, landmarks, intr, x, cfg, rows=cur.rows,
                 eliminate=twist_rows(cur.verts_cam[idx], grad))
-            x_new, _ = solve_l1_box(quad, cfg.w_r, x0=x, sweeps=cfg.gs_sweeps)
+            x_new, _ = solve_l1_box(quad, cfg.w_r, x0=x)
             step, scored, _ = backtrack(
                 np.concatenate([np.zeros(6), x]),
                 np.concatenate([T @ x_new + t0, x_new]), cur,
@@ -500,7 +499,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
                 # rather than record an increase
                 break
             trace.append(cur.f)
-            if f_ref - cur.f <= cfg.objective_rel_tol * max(1.0, abs(f_ref)):
+            if f_ref - cur.f <= _OBJECTIVE_REL_TOL * max(1.0, abs(f_ref)):
                 converged = True
                 break
     except BehindCameraError as exc:

@@ -291,6 +291,44 @@ def test_config_file_defaults_with_flag_override(tmp_path):
     assert manifest.seed == 11                  # explicit flag beats the config
 
 
+def test_abbreviated_flag_is_usage_error(tmp_path):
+    # the --config overlay knows only full flag names, so a prefix such as
+    # --see for --seed must not parse at all rather than lose to the file
+    model = make_test_head()
+    script = tmp_path / "s.bscseq"
+    _write_script(script, model, [{3: 0.5}])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9}))
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--script", str(script), "--out-dir", str(tmp_path / "d"),
+              "--see", "11", "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--gs-sweeps", "--outer-iters"])
+def test_track_has_no_iteration_flags(workspace, tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(_track_argv(workspace / "ds", tmp_path, flag, "1"))
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("key", ["tol", "gs_sweeps", "outer_iters"])
+def test_track_config_rejects_iteration_keys(workspace, tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    assert main(_track_argv(workspace / "ds", tmp_path, "--config", str(cfg))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("blendfit track: error:")
+    assert repr(key) in err
+
+
+def test_track_diagnostics_record_the_weights(workspace, tmp_path):
+    assert main(_track_argv(workspace / "ds", tmp_path, "--wr", "0.04")) == 0
+    diag = json.loads((tmp_path / "o.diag.json").read_text())
+    assert diag["config"] == {"w_d": 200.0, "w_l": 8e-3, "w_r": 0.04}
+
+
 def test_config_unknown_key_exits_1(tmp_path, capsys):
     model = make_test_head()
     script = tmp_path / "s.bscseq"

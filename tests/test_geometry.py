@@ -433,7 +433,6 @@ def _landmarks(px=(10.0, 20.0), conf=1.0, image_size=None):
     lambda: _landmarks(px=(10.0, _NAN), image_size=(320, 240)),
     lambda: SolverConfig(w_d=_NAN),
     lambda: SolverConfig(w_l=_INF),
-    lambda: SolverConfig(objective_rel_tol=_NAN),
     lambda: NoiseConfig(depth_sigma=_NAN),
     lambda: NoiseConfig(landmark_sigma=_INF),
     lambda: PersonalizeConfig(landmark_weight=_NAN),
@@ -442,7 +441,7 @@ def _landmarks(px=(10.0, 20.0), conf=1.0, image_size=None):
     lambda: DepthFrame(np.ones((2, 2)), timestamp=_NAN),
 ], ids=["pose-nan-quaternion", "pose-nan-translation", "pose-inf-translation",
         "landmarks-nan-confidence", "landmarks-nan-pixel", "landmarks-nan-pixel-in-image",
-        "solver-nan-wd", "solver-inf-wl", "solver-nan-tol", "noise-nan-depth-sigma",
+        "solver-nan-wd", "solver-inf-wl", "noise-nan-depth-sigma",
         "noise-inf-landmark-sigma", "personalize-nan-landmark-weight",
         "personalize-inf-regularization", "camera-inf-fx", "depth-nan-timestamp"])
 def test_validated_types_reject_non_finite(build):

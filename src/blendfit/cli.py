@@ -381,7 +381,11 @@ def _config_value(action: argparse.Action, value, where: str):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # reported by the subcommand's parser, with its usage
+        parser.commands[args.command].error(
+            f"unrecognized arguments: {' '.join(extra)}")
     try:
         _overlay_config(args, argv, parser.commands[args.command])
         return args.func(args)

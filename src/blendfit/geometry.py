@@ -155,10 +155,8 @@ class BlendshapeModel:
 
     basis has shape (n, V, 3): basis[k] is the full per-vertex delta
     displacement of blendshape k, added to the neutral with weight x_k.
-    The solver reads the Jacobian from a per-vertex table of the shapes
-    that move each vertex (`_shape_table`), built from basis on first use;
-    a basis with too few exact zeros for the table to pay is kept there
-    whole, vertex-major.
+    The solver gathers the Jacobian from a vertex-major copy of the
+    basis (`_vertex_basis`), built on first use.
     """
 
     neutral: Mesh
@@ -192,34 +190,12 @@ class BlendshapeModel:
         return self.neutral.vertex_count
 
     @cached_property
-    def _shape_table(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """The shapes that move each vertex, as a padded table.
+    def _vertex_basis(self) -> np.ndarray:
+        """The basis as (V, n, 3): row v holds every shape's delta at
+        vertex v, so gathering the rows of a vertex subset is one
+        contiguous block copy per vertex. Built on first use and kept."""
+        return _readonly(self.basis.transpose(1, 0, 2))
 
-        Returns (shapes (V, w), deltas (V, w, 3)) with w the largest
-        number of shapes that move one vertex: row v lists, ascending,
-        the shapes k with a nonzero basis[k, v], padded with n, and their
-        deltas at v, padded with zeros. Blendshapes are localized, so w
-        is far below n (19 of 51 on the test head) and a Jacobian
-        gathered from the table skips the exact zeros. A Jacobian row
-        read from the table costs about 5w + 2n element operations (the
-        gather and product over w shapes, a zeroed row of n + 1, the
-        scatter and the copy out), a row of the full basis 4n. So when
-        5w >= 2n, as for a personalized basis, which has no exact zeros,
-        the table is (None, the basis as (V, n, 3)) and the Jacobian is
-        gathered whole. Built on first use and kept, read-only.
-        """
-        moves = self.basis.any(axis=2).T                           # (V, n)
-        counts = moves.sum(axis=1)
-        w = int(counts.max(initial=0))
-        if 5 * w >= 2 * self.n:
-            return None, _readonly(self.basis.transpose(1, 0, 2))
-        # a stable sort of "does not move" puts the moving shapes first,
-        # in ascending order
-        order = np.argsort(~moves, axis=1, kind="stable")[:, :w]
-        pad = np.arange(w) >= counts[:, None]
-        deltas = self.basis[order, np.arange(self.vertex_count)[:, None]]
-        deltas[pad] = 0.0
-        return _readonly(np.where(pad, self.n, order)), _readonly(deltas)
 
 def validate_bsc(x, n: int | None = None, atol: float = 1e-9) -> np.ndarray:
     """Check a blendshape coefficient vector: 1-D, length n, values in [0, 1].

@@ -13,11 +13,9 @@ averaged; the weights absorb all scaling. Both smooth terms are one
 vector of weighted residual rows (`_residual_rows`), each row a function
 of one vertex. The depth term is exactly quadratic in x; the landmark
 term is linearized once per outer iteration (Gauss-Newton). Each row
-of the quadratic's Jacobian is computed only for the shapes that move
-the row's vertex, read from the model's per-vertex shape table, built
-once per model; the rest of the row is exact zeros. A model whose
-shapes are not localized enough for the table to pay (a personalized
-basis has no exact zeros) is gathered whole instead. The resulting
+of the quadratic's Jacobian is gathered from a vertex-major copy of the
+basis, built once per model, and the quadratic is read from the Gram
+matrix of the Jacobian and the residuals. The resulting
 box-constrained lasso is solved by cyclic coordinate descent with a
 closed-form soft-threshold update, which decreases the objective at
 every single coordinate update; the scalar loop runs on Python floats,
@@ -35,21 +33,21 @@ coefficients together against the same full objective, on that frozen
 set. The pose enters through the twist rows of every weighted residual,
 depth and landmark alike. The twist has no penalty and no box, so it is
 eliminated exactly (the Schur complement of bundle adjustment, Triggs
-et al. 2000): with J = QR the twist rows, the quadratic in x is built
-from the rows with range(J) projected out, and the twist that goes with
-the solved x is read back from R. When R is too ill-conditioned to fix
-the twist (a plane against a plane), the step moves the coefficients
-alone. The step goes through `icp.backtrack`, halved until it does not
-increase the objective, so the recorded per-iteration trace is
-non-increasing. The fitter holds one evaluation of its current
-(pose, x): the objective, the mesh vertices, the same vertices in the
-camera frame and the residual rows on the current correspondence set.
-The correspondence search and the quadratic read it. Evaluations
-compare by their objective, so the held one is the bound the step's
-candidates are scored against, and the evaluation the step hands back
-(the accepted candidate's, or the bound itself when every candidate is
-rejected) is held next; an outer iteration builds one mesh per scored
-candidate and nothing twice.
+et al. 2000): one Gram matrix N of the twist rows J, the coefficient
+rows and the residuals gives the quadratic in x as the Schur complement
+of J^T J in N, and the twist that goes with the solved x from
+J^T J's solve. When J^T J is too ill-conditioned to fix the twist (a
+plane against a plane), the step moves the coefficients alone. The step
+goes through `icp.backtrack`, halved until it does not increase the
+objective, so the recorded per-iteration trace is non-increasing. The
+fitter holds one evaluation of its current (pose, x): the objective, the
+mesh vertices, the same vertices in the camera frame and the residual
+rows on the current correspondence set. The correspondence search and
+the quadratic read it. Evaluations compare by their objective, so the
+held one is the bound the step's candidates are scored against, and the
+evaluation the step hands back (the accepted candidate's, or the bound
+itself when every candidate is rejected) is held next; an outer
+iteration builds one mesh per scored candidate and nothing twice.
 """
 
 from __future__ import annotations
@@ -146,19 +144,22 @@ class QuadraticForm:
         object.__setattr__(self, "c", float(self.c))
 
     @classmethod
-    def _of_rows(cls, a, h) -> "QuadraticForm":
-        """||a x + h||^2, the fitter's form: H = 2 a^T a is symmetric PSD
-        by construction, so only a non-finite H or g is checked for. H is
-        still symmetrized exactly, as the constructor does, because
-        solve_l1_box updates with rows of H in place of columns."""
-        H = 2.0 * (a.T @ a)
-        g = 2.0 * (a.T @ h)
+    def _of_gram(cls, S) -> "QuadraticForm":
+        """||a x + h||^2 from the (n + 1) x (n + 1) Gram matrix S of [a h],
+        the fitter's form: H = 2 S_aa, g = 2 S_ah, c = S_hh. H is
+        symmetric PSD by construction, up to rounding, so only a
+        non-finite H or g is checked for. H is still symmetrized exactly,
+        as the constructor does, because solve_l1_box updates with rows
+        of H in place of columns."""
+        n = S.shape[0] - 1
+        H = 2.0 * S[:n, :n]
+        g = 2.0 * S[:n, n]
         if not (np.isfinite(H).all() and np.isfinite(g).all()):
             raise ValueError("quadratic form has non-finite entries")
         q = object.__new__(cls)
         object.__setattr__(q, "H", 0.5 * (H + H.T))
         object.__setattr__(q, "g", g)
-        object.__setattr__(q, "c", float(h @ h))
+        object.__setattr__(q, "c", float(S[n, n]))
         return q
 
     @property
@@ -227,18 +228,15 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
     `fit_frame` alone. `rows` passes the rows of the evaluation it holds
     at (pose, x_lin) on `corrs` instead. `eliminate`, the (m, 6) twist
     rows J of those rows, adds a free twist t to the model,
-    ||r + J t + a (x - x_lin)||^2, and minimizes it out: with J = QR the
-    form is built from a and r with range(J) projected out, and
-    (form, T, t0) is returned, where t = T x + t0 is the minimizing
-    twist at each x. When J has rank below 6 numerically (cond(R)^2
-    above `icp._COND_LIMIT`, `icp.pose_step`'s threshold on J^T J), the
-    twist stays 0: the form is the plain one and T, t0 are zeros.
-    Row i of a is read from the model's table of the
-    shapes that move vertex idx[i], summing over the three coordinates
-    innermost, and scattered into its columns; every other entry is an
-    exact zero. The sums and their order are those of a gather from the
-    full (n, V, 3) basis, so the form is bit-identical to one; for a
-    model whose table is not narrow enough to pay, a is that gather.
+    ||r + J t + a (x - x_lin)||^2, and minimizes it out: the form is the
+    Schur complement of J^T J in the Gram matrix N of [J a h], with
+    h = r - a x_lin, and (form, T, t0) is returned, where t = T x + t0
+    is the minimizing twist at each x. When J has rank below 6
+    numerically (fewer than 6 rows, or cond(J^T J) above
+    `icp._COND_LIMIT`, `icp.pose_step`'s test), the twist stays 0: the
+    form is the plain one, read from N, and T, t0 are zeros. Each row of
+    a is gathered from the vertex-major basis at the row's vertex, every
+    shape's delta there, summing over the three coordinates innermost.
     Raises NoDataError when there are neither correspondences nor
     landmarks.
     """
@@ -256,24 +254,21 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
     if rows is None:
         rows = _evaluate_at(model, pose, x_lin, corrs, landmarks, intr, cfg).rows
     idx, grad, r = rows
-    shapes, deltas = model._shape_table
     # n . (R b) = (R^T n) . b: rotate the m gradients, not the basis
-    a = np.einsum("mc,mjc->mj", grad @ rot, deltas[idx])     # (m, w) or (m, n)
-    if shapes is not None:
-        # padded slots land in the extra last column, which is dropped
-        full = np.zeros((len(idx), n + 1))
-        full[np.arange(len(idx))[:, None], shapes[idx]] = a
-        a = full[:, :n]                                              # (m, n)
+    a = np.einsum("mc,mkc->mk", grad @ rot, model._vertex_basis[idx])   # (m, n)
     h = r - a @ x_lin
     if eliminate is None:
-        return QuadraticForm._of_rows(a, h)
-    Q, R = np.linalg.qr(eliminate)
-    if R.shape[0] < 6 or np.linalg.cond(R) ** 2 > _COND_LIMIT:
-        return QuadraticForm._of_rows(a, h), np.zeros((6, n)), np.zeros(6)
-    # the twist minimizing ||h + a x + J t|| is -R^-1 Q^T (h + a x)
-    qa, qh = Q.T @ a, Q.T @ h
-    back = -np.linalg.solve(R, np.column_stack([qa, qh]))          # (6, n + 1)
-    return QuadraticForm._of_rows(a - Q @ qa, h - Q @ qh), back[:, :n], back[:, n]
+        M = np.column_stack([a, h])
+        return QuadraticForm._of_gram(M.T @ M)
+    M = np.column_stack([eliminate, a, h])
+    N = M.T @ M                                          # (n + 7, n + 7)
+    if len(idx) < 6 or np.linalg.cond(N[:6, :6]) > _COND_LIMIT:
+        return QuadraticForm._of_gram(N[6:, 6:]), np.zeros((6, n)), np.zeros(6)
+    # the twist minimizing ||J t + a x + h|| is -X (x, 1); what is left
+    # is the Schur complement of N_JJ
+    X = np.linalg.solve(N[:6, :6], N[:6, 6:])                        # (6, n + 1)
+    S = N[6:, 6:] - N[6:, :6] @ X
+    return QuadraticForm._of_gram(S), -X[:, :n], -X[:, n]
 
 
 def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,

@@ -94,10 +94,9 @@ def random_model(rng, side=3, n=4):
 
 def localized_model(rng, side=4, n=10, width=3):
     """`random_model` with localized shapes: vertex 0 is moved by no
-    shape and every other vertex by at most `width` shapes, narrow
-    enough for the solver's shape table (5 width < 2n). The other deltas
-    are zero, some of them -0.0, and some moving deltas have a zero
-    coordinate."""
+    shape, so its Jacobian rows are zero, and every other vertex by at
+    most `width` shapes. The other deltas are zero, some of them -0.0,
+    and some moving deltas have a zero coordinate."""
     from blendfit import BlendshapeModel
 
     model = random_model(rng, side, n)

@@ -101,10 +101,15 @@ def test_apply_exports_meshes(workspace):
     assert mesh.vertex_count == make_test_head().neutral.vertex_count
 
 
-def test_unknown_flag_is_usage_error():
+def test_unknown_flag_is_usage_error(capsys):
+    # every required flag is given, so only --nope can fail the parse,
+    # and the subcommand's parser reports it with its own usage
     with pytest.raises(SystemExit) as exc:
-        main(["track", "--nope"])
+        main(["track", "--model", "testhead", "--dataset", "x", "--out", "y", "--nope"])
     assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: blendfit track")
+    assert "blendfit track: error: unrecognized arguments: --nope" in err
 
 
 def test_missing_required_flag_is_usage_error():

@@ -37,7 +37,7 @@ from blendfit.geometry import (
     quat_to_matrix,
 )
 
-from conftest import localized_model, random_model
+from conftest import random_model
 
 
 # ---------------------------------------------------------------------------
@@ -321,55 +321,6 @@ def test_mesh_rejects_out_of_range_face():
 def test_mesh_rejects_repeated_vertex_in_face():
     with pytest.raises(MeshValidationError):
         Mesh(np.zeros((3, 3)), np.array([[0, 1, 1]]))
-
-
-@pytest.fixture(scope="module", params=["testhead", "dense", "unmoved-vertex"])
-def table_model(request, head):
-    if request.param == "testhead":
-        return head
-    rng = np.random.default_rng(31)
-    if request.param == "dense":
-        return random_model(rng, side=4, n=6)
-    return localized_model(rng)
-
-
-def test_shape_table_lists_the_shapes_that_move_each_vertex(table_model):
-    model = table_model
-    n, V = model.n, model.vertex_count
-    shapes, deltas = model._shape_table
-    moves = (model.basis != 0.0).any(axis=2).T                    # (V, n)
-    w = moves.sum(axis=1).max()
-    if shapes is None:
-        # too wide to pay: the basis itself, vertex-major
-        assert 5 * w >= 2 * n
-        assert deltas.tobytes() == model.basis.transpose(1, 0, 2).tobytes()
-        return
-    assert 5 * w < 2 * n
-    assert shapes.shape == (V, w)
-    assert deltas.shape == (V, w, 3)
-    for v in range(V):
-        listed = shapes[v][shapes[v] < n]
-        np.testing.assert_array_equal(listed, np.flatnonzero(moves[v]))
-        assert (shapes[v][len(listed):] == n).all()
-        assert not deltas[v, len(listed):].any()
-    # scattered back, the table is the basis byte for byte, except that
-    # a shape whose delta at a vertex is -0.0 (a zero that moves
-    # nothing) comes back as 0.0; + 0.0 turns each -0.0 into 0.0
-    back = np.zeros((V, n + 1, 3))
-    back[np.arange(V)[:, None], shapes] = deltas
-    back = back[:, :n].transpose(1, 0, 2)
-    assert (back + 0.0).tobytes() == (model.basis + 0.0).tobytes()
-
-
-def test_shape_table_widths(head):
-    rng = np.random.default_rng(31)
-    assert head._shape_table[0].shape == (head.vertex_count, 19)
-    # every shape moves every vertex of a random basis
-    shapes, deltas = random_model(rng, side=4, n=6)._shape_table
-    assert shapes is None and deltas.shape == (16, 6, 3)
-    shapes, _ = localized_model(rng)._shape_table
-    assert shapes.shape[1] <= 3
-    assert (shapes[0] == 10).all()
 
 
 def test_model_rejects_name_count_mismatch():

@@ -27,7 +27,7 @@ from blendfit import (
 )
 from blendfit import solver
 from blendfit.geometry import apply_twist, project, quat_to_matrix
-from blendfit.icp import twist_rows
+from blendfit.icp import _COND_LIMIT, twist_rows
 from blendfit.solver import _MAX_DISTANCE, _residual_rows
 from blendfit.synth import (
     NoiseConfig,
@@ -170,15 +170,17 @@ def test_assembled_value_matches_direct_residuals(scene, head, intr):
 
 
 def _assemble_reference(model, pose, corrs, landmarks, intr, x_lin, cfg):
-    """assemble_quadratic as it was before the shape table: the dense
-    (m, n) Jacobian from a gather of the vertex-major (V, n, 3) basis,
-    itself bit-identical to the older basis[:, idx, :] gather."""
+    """The plain form straight from model.basis, not its cached copy:
+    the (m, n) Jacobian from a vertex-major view of the (n, V, 3) basis,
+    and the form read from the Gram matrix of [a h]."""
     rot = quat_to_matrix(pose.rotation)
     verts_cam = pose.apply(evaluate_mesh(model, x_lin).vertices)
     idx, grad, r = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
     a = np.einsum("mc,mkc->mk", grad @ rot, model.basis.transpose(1, 0, 2)[idx])
-    h = r - a @ x_lin
-    return QuadraticForm(2.0 * (a.T @ a), 2.0 * (a.T @ h), float(h @ h))
+    M = np.column_stack([a, r - a @ x_lin])
+    N = M.T @ M
+    n = model.n
+    return QuadraticForm(2.0 * N[:n, :n], 2.0 * N[:n, n], float(N[n, n]))
 
 
 def _assert_same_form(got, ref):
@@ -188,8 +190,8 @@ def _assert_same_form(got, ref):
 
 
 def _assert_matches_reference(model, pose, corrs, landmarks, intr, x_lin, cfg):
-    """The shape-table assembly, with and without the fitter's rows,
-    against the dense reference, byte for byte."""
+    """The assembly, with and without the fitter's rows, against the
+    dense reference, byte for byte."""
     ref = _assemble_reference(model, pose, corrs, landmarks, intr, x_lin, cfg)
     _assert_same_form(assemble_quadratic(model, pose, corrs, landmarks, intr,
                                          x_lin, cfg), ref)
@@ -216,15 +218,14 @@ def test_assemble_bit_identical_to_basis_gather(scene, head, intr, with_landmark
             _assert_matches_reference(head, pose, corrs, landmarks, intr, x_lin, cfg)
 
 
-@pytest.mark.parametrize("kind", ["dense", "unmoved-vertex"])
-def test_assemble_bit_identical_on_small_models(intr, kind):
-    # a dense random basis (every shape moves every vertex), gathered
-    # whole, and a localized one with a vertex no shape moves, read from
-    # the shape table, on hand-made matches
-    # that include that vertex and repeat vertices, with landmarks
+def _small_model_cases(kind):
+    """A dense random basis (every shape moves every vertex) or a
+    localized one with a vertex no shape moves, at eight random poses, on
+    hand-made matches that include that vertex and repeat vertices, with
+    landmarks in every other case: (model, pose, corrs, landmarks, x_lin)."""
     rng = np.random.default_rng(32)
     model = random_model(rng, side=4, n=6) if kind == "dense" else localized_model(rng)
-    V, cfg = model.vertex_count, SolverConfig()
+    V = model.vertex_count
     for case in range(8):
         pose = RigidPose.from_axis_angle(rng.normal(size=3), np.deg2rad(10.0),
                                          (0.0, 0.0, 0.5) + rng.normal(scale=0.01, size=3))
@@ -238,8 +239,13 @@ def test_assemble_bit_identical_on_small_models(intr, kind):
         lm_idx = rng.choice(V, size=5, replace=False)
         landmarks = LandmarkSet(tuple(f"lm{j}" for j in range(5)), lm_idx,
                                 rng.uniform(100, 200, size=(5, 2)), rng.uniform(0.2, 1.0, 5))
-        _assert_matches_reference(model, pose, corrs, landmarks if case % 2 else None,
-                                  intr, x_lin, cfg)
+        yield model, pose, corrs, landmarks if case % 2 else None, x_lin
+
+
+@pytest.mark.parametrize("kind", ["dense", "unmoved-vertex"])
+def test_assemble_bit_identical_on_small_models(intr, kind):
+    for model, pose, corrs, landmarks, x_lin in _small_model_cases(kind):
+        _assert_matches_reference(model, pose, corrs, landmarks, intr, x_lin, SolverConfig())
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +344,86 @@ def test_eliminated_twist_gives_the_joint_least_squares_step(intr):
     np.testing.assert_allclose(t, ref[:6], rtol=0.0, atol=1e-9)
     joint = r + J @ ref[:6] + a @ ref[6:]
     assert abs(quad.value(x_new) - joint @ joint) <= 1e-9 * max(1.0, joint @ joint)
+
+
+def _assemble_qr_reference(model, pose, rows, x_lin, J):
+    """assemble_quadratic(..., eliminate=J) as it was before the Gram
+    matrix: with J = QR, the form is built from a and h with range(J)
+    projected out, and the twist is read back from R."""
+    idx, grad, r = rows
+    n = model.n
+    a = np.einsum("mc,mkc->mk", grad @ quat_to_matrix(pose.rotation),
+                  model.basis.transpose(1, 0, 2)[idx])
+    h = r - a @ x_lin
+
+    def form(a, h):
+        return QuadraticForm(2.0 * (a.T @ a), 2.0 * (a.T @ h), float(h @ h))
+
+    Q, R = np.linalg.qr(J)
+    if R.shape[0] < 6 or np.linalg.cond(R) ** 2 > _COND_LIMIT:
+        return form(a, h), np.zeros((6, n)), np.zeros(6)
+    qa, qh = Q.T @ a, Q.T @ h
+    back = -np.linalg.solve(R, np.column_stack([qa, qh]))          # (6, n + 1)
+    return form(a - Q @ qa, h - Q @ qh), back[:, :n], back[:, n]
+
+
+def _eliminated_and_reference(model, pose, corrs, landmarks, intr, x_lin):
+    """(form, T, t0) from assemble_quadratic and from the QR reference,
+    on the same rows and twist rows."""
+    cfg = SolverConfig()
+    verts_cam = pose.apply(evaluate_mesh(model, x_lin).vertices)
+    rows = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
+    J = twist_rows(verts_cam[rows[0]], rows[1])
+    got = assemble_quadratic(model, pose, corrs, landmarks, intr, x_lin, cfg,
+                             rows=rows, eliminate=J)
+    return got, _assemble_qr_reference(model, pose, rows, x_lin, J)
+
+
+def _assert_close_to_reference(got, ref):
+    # the Gram matrix squares the conditioning of the subtraction, so the
+    # two agree to rounding, not bit for bit
+    (q, T, t0), (rq, rT, rt0) = got, ref
+    for x, y in ((q.H, rq.H), (q.g, rq.g), (q.c, rq.c), (T, rT), (t0, rt0)):
+        assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("with_landmarks", [True, False], ids=["landmarks", "depth-only"])
+def test_eliminated_form_matches_qr_reference(turned_scene, head, intr, with_landmarks):
+    pose, x_lin, corrs, landmarks = turned_scene
+    got, ref = _eliminated_and_reference(head, pose, corrs,
+                                         landmarks if with_landmarks else None, intr, x_lin)
+    assert np.abs(ref[1]).max() > 0.0
+    _assert_close_to_reference(got, ref)
+
+
+@pytest.mark.parametrize("kind", ["dense", "unmoved-vertex"])
+def test_eliminated_form_matches_qr_reference_on_small_models(intr, kind):
+    for model, pose, corrs, landmarks, x_lin in _small_model_cases(kind):
+        got, ref = _eliminated_and_reference(model, pose, corrs, landmarks, intr, x_lin)
+        assert np.abs(ref[1]).max() > 0.0
+        _assert_close_to_reference(got, ref)
+
+
+def test_eliminated_form_falls_back_with_the_qr_reference(turned_scene, head, intr):
+    # a plane against a plane (J^T J singular) and five rows (too few for
+    # six twist components): both keep the twist at 0 and return the
+    # plain form
+    sheet = flat_sheet_model(0.99)
+    wall_pose = RigidPose.from_axis_angle((0.0, 0.0, 1.0), 0.02, (0.003, -0.002, 0.0))
+    wall = find_correspondences(wall_pose.apply(sheet.neutral.vertices), wall_frame(intr),
+                                intr, _MAX_DISTANCE)
+    assert len(wall) > 6
+    head_pose, head_x, head_corrs, _ = turned_scene
+    five = CorrespondenceSet(head_corrs.vertex_indices[:5], head_corrs.points[:5],
+                             head_corrs.normals[:5])
+    for model, pose, corrs, x_lin in ((sheet, wall_pose, wall, np.zeros(1)),
+                                      (head, head_pose, five, head_x)):
+        got, ref = _eliminated_and_reference(model, pose, corrs, None, intr, x_lin)
+        for _, T, t0 in (got, ref):
+            assert not T.any() and not t0.any()
+        plain = assemble_quadratic(model, pose, corrs, None, intr, x_lin, SolverConfig())
+        _assert_close_to_reference(got, (plain, ref[1], ref[2]))
+        _assert_close_to_reference(ref, (plain, ref[1], ref[2]))
 
 
 # ---------------------------------------------------------------------------

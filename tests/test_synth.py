@@ -341,7 +341,7 @@ def test_test_head_shape_and_determinism():
 def test_cached_test_head_is_read_only():
     head = make_test_head()
     for arr in (head.neutral.vertices, head.neutral.faces, head.basis,
-                *head._shape_table):
+                head._vertex_basis):
         with pytest.raises(ValueError):
             arr[0] = 0
     with pytest.raises(AttributeError):

@@ -117,79 +117,93 @@ def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics
     meters) and incidence gates apply last; vertices that fail any step
     are simply absent from the result. Raises ValueError unless
     `max_distance` is positive.
+
+    The search runs on x, y, z columns and compacts the batch twice: to
+    the vertices in front of the camera whose normal window lies inside
+    the image, then to those whose five depth samples are all valid, so
+    the later steps run on the survivors alone. The gates, thresholds and
+    grazing-ray fallback act as if every vertex went through every step.
     """
     # written so that NaN fails
     if not max_distance > 0:
         raise ValueError(f"max_distance must be positive, got {max_distance!r}")
     verts = np.asarray(vertices_cam, dtype=np.float64).reshape(-1, 3)
-    m = len(verts)
+    fx, fy, cx, cy = intr.fx, intr.fy, intr.cx, intr.cy
 
     depth = frame.values        # float32; only the samples read are widened
     h, w = depth.shape
     win = _DEPTH_WINDOW
 
-    keep = verts[:, 2] > 0.0
-    uv = np.zeros((m, 2))
-    z = np.where(keep, verts[:, 2], 1.0)
-    uv[:, 0] = intr.fx * verts[:, 0] / z + intr.cx
-    uv[:, 1] = intr.fy * verts[:, 1] / z + intr.cy
-
-    ix = np.floor(uv[:, 0]).astype(np.int64)
-    iy = np.floor(uv[:, 1]).astype(np.int64)
+    vx, vy, vz = verts.T
+    front = vz > 0.0
+    z = np.where(front, vz, 1.0)
+    u = fx * vx / z + cx
+    v = fy * vy / z + cy
+    ix = np.floor(u).astype(np.int64)
+    iy = np.floor(v).astype(np.int64)
     # the normal window must also be inside the image
-    keep &= (ix >= win) & (ix < w - win) & (iy >= win) & (iy < h - win)
+    idx = np.flatnonzero(front & (ix >= win) & (ix < w - win) & (iy >= win) & (iy < h - win))
+    ix, iy = ix[idx], iy[idx]
 
-    ixc = np.clip(ix, win, max(w - 1 - win, win))
-    iyc = np.clip(iy, win, max(h - 1 - win, win))
     # the pixel and its four neighbours, as offsets into the flat image
-    at = iyc * w + ixc
-    d0, dxp, dxm, dyp, dym = depth.ravel()[
-        at + np.array([0, win, -win, w * win, -w * win])[:, None]].astype(np.float64)
-    keep &= (d0 > 0) & (dxp > 0) & (dxm > 0) & (dyp > 0) & (dym > 0)
+    at = iy * w + ix
+    samples = depth.ravel()[at + np.array([0, win, -win, w * win, -w * win])[:, None]]
+    live = np.flatnonzero((samples > 0).all(axis=0))
+    idx, ix, iy = idx[live], ix[live], iy[live]
+    d0, dxp, dxm, dyp, dym = samples[:, live].astype(np.float64)
 
-    def lift(u_idx, v_idx, d):
-        u = u_idx + 0.5
-        v = v_idx + 0.5
-        return np.stack([(u - intr.cx) * d / intr.fx,
-                         (v - intr.cy) * d / intr.fy,
-                         d], axis=-1)
+    # backprojected pixel centers: the anchor, and the u- and v-tangents
+    # between the neighbours either side of it
+    gx = ix + 0.5 - cx
+    gy = iy + 0.5 - cy
+    ax, ay, az = gx * d0 / fx, gy * d0 / fy, d0
+    tux = ((ix + win) + 0.5 - cx) * dxp / fx - ((ix - win) + 0.5 - cx) * dxm / fx
+    tuy = gy * dxp / fy - gy * dxm / fy
+    tuz = dxp - dxm
+    tvx = gx * dyp / fx - gx * dym / fx
+    tvy = ((iy + win) + 0.5 - cy) * dyp / fy - ((iy - win) + 0.5 - cy) * dym / fy
+    tvz = dyp - dym
+    nx = tuy * tvz - tuz * tvy
+    ny = tuz * tvx - tux * tvz
+    nz = tux * tvy - tuy * tvx
+    nlen = np.sqrt(nx * nx + ny * ny + nz * nz)
+    keep = nlen > 0
+    nlen = np.where(keep, nlen, 1.0)
+    nx, ny, nz = nx / nlen, ny / nlen, nz / nlen
 
-    anchor = lift(ixc, iyc, d0)
-    tan_u = lift(ixc + win, iyc, dxp) - lift(ixc - win, iyc, dxm)
-    tan_v = lift(ixc, iyc + win, dyp) - lift(ixc, iyc - win, dym)
-    normal = np.cross(tan_u, tan_v)
-    nlen = np.linalg.norm(normal, axis=1)
-    keep &= nlen > 0
-    normal = normal / np.where(nlen > 0, nlen, 1.0)[:, None]
+    # orient toward the camera: afterwards n . anchor = -|n . anchor|
+    n_dot_anchor = nx * ax + ny * ay + nz * az
+    sign = np.where(n_dot_anchor > 0, -1.0, 1.0)
+    nx, ny, nz = sign * nx, sign * ny, sign * nz
+    n_dot_anchor = -np.abs(n_dot_anchor)
 
-    # orient toward the camera
-    flip = np.einsum("ij,ij->i", normal, anchor) > 0
-    normal[flip] = -normal[flip]
-
-    # cast the vertex's view ray onto the tangent plane at the anchor;
-    # keep the anchor itself when the ray grazes the plane
-    rays = np.stack([(uv[:, 0] - intr.cx) / intr.fx,
-                     (uv[:, 1] - intr.cy) / intr.fy,
-                     np.ones(m)], axis=-1)
-    n_dot_ray = np.einsum("ij,ij->i", normal, rays)
-    n_dot_anchor = np.einsum("ij,ij->i", normal, anchor)
+    # cast the vertex's view ray (rx, ry, 1) onto the tangent plane at the
+    # anchor; keep the anchor itself when the ray grazes the plane
+    rx = (u[idx] - cx) / fx
+    ry = (v[idx] - cy) / fy
+    n_dot_ray = nx * rx + ny * ry + nz
     grazing = np.abs(n_dot_ray) < 1e-6
-    t = np.where(grazing, 1.0, n_dot_anchor / np.where(grazing, 1.0, n_dot_ray))
-    target = np.where((grazing | (t <= 0.0))[:, None], anchor, t[:, None] * rays)
+    t = n_dot_anchor / np.where(grazing, 1.0, n_dot_ray)
+    cast = ~grazing & (t > 0.0)
+    tx = np.where(cast, t * rx, ax)
+    ty = np.where(cast, t * ry, ay)
+    tz = np.where(cast, t, az)
 
     # distance gate
-    keep &= np.linalg.norm(verts - target, axis=1) <= max_distance
+    dx, dy, dz = vx[idx] - tx, vy[idx] - ty, vz[idx] - tz
+    keep &= np.sqrt(dx * dx + dy * dy + dz * dz) <= max_distance
 
     # view-incidence gate: angle between the normal and the ray back to
     # the camera
-    tlen = np.linalg.norm(target, axis=1)
+    tlen = np.sqrt(tx * tx + ty * ty + tz * tz)
     keep &= tlen > 0
-    to_cam = -target / np.where(tlen > 0, tlen, 1.0)[:, None]
-    cos_inc = np.einsum("ij,ij->i", normal, to_cam)
+    tlen = np.where(tlen > 0, tlen, 1.0)
+    cos_inc = nx * (-tx / tlen) + ny * (-ty / tlen) + nz * (-tz / tlen)
     keep &= cos_inc >= np.cos(np.deg2rad(_MAX_NORMAL_ANGLE))
 
-    idx = np.flatnonzero(keep)
-    return CorrespondenceSet(idx, target[idx], normal[idx])
+    sel = np.flatnonzero(keep)
+    return CorrespondenceSet(idx[sel], np.column_stack((tx, ty, tz))[sel],
+                             np.column_stack((nx, ny, nz))[sel])
 
 
 def landmark_jacobian(v_cam, intr: CameraIntrinsics) -> np.ndarray:

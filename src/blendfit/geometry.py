@@ -155,8 +155,8 @@ class BlendshapeModel:
 
     basis has shape (n, V, 3): basis[k] is the full per-vertex delta
     displacement of blendshape k, added to the neutral with weight x_k.
-    The solver gathers the Jacobian from a vertex-major copy of the
-    basis (`_vertex_basis`), built on first use.
+    The solver gathers the Jacobian from a vertex-major (V, 3, n) copy
+    of the basis (`_vertex_basis`), built on first use.
     """
 
     neutral: Mesh
@@ -191,10 +191,12 @@ class BlendshapeModel:
 
     @cached_property
     def _vertex_basis(self) -> np.ndarray:
-        """The basis as (V, n, 3): row v holds every shape's delta at
-        vertex v, so gathering the rows of a vertex subset is one
-        contiguous block copy per vertex. Built on first use and kept."""
-        return _readonly(self.basis.transpose(1, 0, 2))
+        """The basis as (V, 3, n): block v holds every shape's delta at
+        vertex v, one row per coordinate, so gathering the blocks of a
+        vertex subset is one contiguous copy per vertex and each block
+        is a (3, n) matrix to multiply a row gradient into. Built on
+        first use and kept."""
+        return _readonly(self.basis.transpose(1, 2, 0))
 
 
 def validate_bsc(x, n: int | None = None, atol: float = 1e-9) -> np.ndarray:

@@ -13,9 +13,10 @@ averaged; the weights absorb all scaling. Both smooth terms are one
 vector of weighted residual rows (`_residual_rows`), each row a function
 of one vertex. The depth term is exactly quadratic in x; the landmark
 term is linearized once per outer iteration (Gauss-Newton). Each row
-of the quadratic's Jacobian is gathered from a vertex-major copy of the
-basis, built once per model, and the quadratic is read from the Gram
-matrix of the Jacobian and the residuals. The resulting
+of the quadratic's Jacobian is the row's gradient times one (3, n)
+block of a vertex-major (V, 3, n) copy of the basis, built once per
+model, all rows in one batched matmul, and the quadratic is read from
+the Gram matrix of the Jacobian and the residuals. The resulting
 box-constrained lasso is solved by cyclic coordinate descent with a
 closed-form soft-threshold update, which decreases the objective at
 every single coordinate update; the scalar loop runs on Python floats,
@@ -234,9 +235,10 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
     is the minimizing twist at each x. When J has rank below 6
     numerically (fewer than 6 rows, or cond(J^T J) above
     `icp._COND_LIMIT`, `icp.pose_step`'s test), the twist stays 0: the
-    form is the plain one, read from N, and T, t0 are zeros. Each row of
-    a is gathered from the vertex-major basis at the row's vertex, every
-    shape's delta there, summing over the three coordinates innermost.
+    form is the plain one, read from N, and T, t0 are zeros. Row i of a
+    is the rotated gradient (1, 3) times the (3, n) block of the
+    vertex-major basis at the row's vertex, every shape's delta there,
+    all rows in one batched matmul.
     Raises NoDataError when there are neither correspondences nor
     landmarks.
     """
@@ -255,7 +257,7 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
         rows = _evaluate_at(model, pose, x_lin, corrs, landmarks, intr, cfg).rows
     idx, grad, r = rows
     # n . (R b) = (R^T n) . b: rotate the m gradients, not the basis
-    a = np.einsum("mc,mkc->mk", grad @ rot, model._vertex_basis[idx])   # (m, n)
+    a = ((grad @ rot)[:, None, :] @ model._vertex_basis[idx])[:, 0]     # (m, n)
     h = r - a @ x_lin
     if eliminate is None:
         M = np.column_stack([a, h])

@@ -122,13 +122,16 @@ def render_depth(mesh: Mesh, pose: RigidPose, intr: CameraIntrinsics) -> DepthFr
     uv, zs = _screen_triangles(mesh, pose, intr)
 
     # pixel-center bounding boxes clipped to the image, as [x, y] pairs
+    # (per-face reductions are written on the corner slices: NumPy
+    # reduces slowly over a middle axis of length 3)
     size = np.array([w, h])
-    lo = np.clip(np.floor(uv.min(axis=1) - 0.5), 0, size).astype(np.int64)
-    hi = np.clip(np.ceil(uv.max(axis=1) - 0.5), -1, size - 1).astype(np.int64)
+    a, b, c = uv[:, 0], uv[:, 1], uv[:, 2]
+    lo = np.clip(np.floor(np.minimum(np.minimum(a, b), c) - 0.5), 0, size).astype(np.int64)
+    hi = np.clip(np.ceil(np.maximum(np.maximum(a, b), c) - 0.5), -1, size - 1).astype(np.int64)
     extent = hi - lo + 1
-    (ax, ay), (bx, by), (cx_, cy_) = uv[:, 0].T, uv[:, 1].T, uv[:, 2].T
+    (ax, ay), (bx, by), (cx_, cy_) = a.T, b.T, c.T
     denom = (bx - ax) * (cy_ - ay) - (by - ay) * (cx_ - ax)
-    keep = np.all(extent > 0, axis=1) & (denom != 0.0)
+    keep = (extent[:, 0] > 0) & (extent[:, 1] > 0) & (denom != 0.0)
 
     counts = extent[keep, 0] * extent[keep, 1]
     ends = np.cumsum(counts)
@@ -167,10 +170,12 @@ def _screen_triangles(mesh: Mesh, pose: RigidPose,
     of the faces that can draw: in front of the near plane and facing the
     camera."""
     tris = pose.apply(mesh.vertices)[mesh.faces]  # (F, 3, 3)
+    p0, p1, p2 = tris[:, 0], tris[:, 1], tris[:, 2]
     zs = tris[:, :, 2]
-    in_front = np.all(zs > _Z_NEAR, axis=1)
-    normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    facing = np.einsum("ij,ij->i", normals, tris.mean(axis=1)) < 0.0
+    in_front = (p0[:, 2] > _Z_NEAR) & (p1[:, 2] > _Z_NEAR) & (p2[:, 2] > _Z_NEAR)
+    normals = np.cross(p1 - p0, p2 - p0)
+    # the centroid as tris.mean(axis=1) sums it, corner by corner
+    facing = np.einsum("ij,ij->i", normals, (p0 + p1 + p2) / 3.0) < 0.0
 
     drawable = np.flatnonzero(in_front & facing)
     zs = zs[drawable]
@@ -362,13 +367,20 @@ def _spread_sample(points: np.ndarray, count: int, rng: np.random.Generator) -> 
     """Greedy farthest-point sampling; first pick seeded from rng."""
     if count > len(points):
         raise ValueError("fewer candidate points than requested samples")
+    px, py, pz = np.asarray(points, dtype=np.float64).T.copy()
+
+    def distance_to(i):
+        # np.linalg.norm(points - points[i], axis=1), summed in its order
+        dx, dy, dz = px - px[i], py - py[i], pz - pz[i]
+        return np.sqrt(dx * dx + dy * dy + dz * dz)
+
     first = int(rng.integers(len(points)))
     chosen = [first]
-    dist = np.linalg.norm(points - points[first], axis=1)
+    dist = distance_to(first)
     for _ in range(count - 1):
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+        dist = np.minimum(dist, distance_to(nxt))
     return np.array(chosen, dtype=np.int64)
 
 

@@ -9,11 +9,15 @@ from blendfit import (
     CorrespondenceSet,
     DepthFrame,
     LandmarkSet,
+    RigidPose,
     backproject,
+    evaluate_mesh,
     find_correspondences,
     landmark_jacobian,
     project,
 )
+from blendfit.geometry import apply_twist
+from blendfit.synth import add_depth_noise, render_depth
 from conftest import wall_frame
 
 WIDE = 1.0     # meters: a distance gate that rejects nothing here
@@ -112,6 +116,187 @@ def test_gating_is_monotone(intr):
         if kept is not None:
             assert got <= kept
         kept = got
+
+
+# ---------------------------------------------------------------------------
+# the column-wise search against the row-wise one it replaced
+
+def _find_correspondences_reference(vertices_cam, frame, intr, max_distance):
+    """find_correspondences as it was written on (m, 3) rows, with every
+    vertex carried through every step."""
+    from blendfit.correspondence import _DEPTH_WINDOW, _MAX_NORMAL_ANGLE
+
+    verts = np.asarray(vertices_cam, dtype=np.float64).reshape(-1, 3)
+    m = len(verts)
+
+    depth = frame.values
+    h, w = depth.shape
+    win = _DEPTH_WINDOW
+
+    keep = verts[:, 2] > 0.0
+    uv = np.zeros((m, 2))
+    z = np.where(keep, verts[:, 2], 1.0)
+    uv[:, 0] = intr.fx * verts[:, 0] / z + intr.cx
+    uv[:, 1] = intr.fy * verts[:, 1] / z + intr.cy
+
+    ix = np.floor(uv[:, 0]).astype(np.int64)
+    iy = np.floor(uv[:, 1]).astype(np.int64)
+    keep &= (ix >= win) & (ix < w - win) & (iy >= win) & (iy < h - win)
+
+    ixc = np.clip(ix, win, max(w - 1 - win, win))
+    iyc = np.clip(iy, win, max(h - 1 - win, win))
+    at = iyc * w + ixc
+    d0, dxp, dxm, dyp, dym = depth.ravel()[
+        at + np.array([0, win, -win, w * win, -w * win])[:, None]].astype(np.float64)
+    keep &= (d0 > 0) & (dxp > 0) & (dxm > 0) & (dyp > 0) & (dym > 0)
+
+    def lift(u_idx, v_idx, d):
+        u = u_idx + 0.5
+        v = v_idx + 0.5
+        return np.stack([(u - intr.cx) * d / intr.fx,
+                         (v - intr.cy) * d / intr.fy,
+                         d], axis=-1)
+
+    anchor = lift(ixc, iyc, d0)
+    tan_u = lift(ixc + win, iyc, dxp) - lift(ixc - win, iyc, dxm)
+    tan_v = lift(ixc, iyc + win, dyp) - lift(ixc, iyc - win, dym)
+    normal = np.cross(tan_u, tan_v)
+    nlen = np.linalg.norm(normal, axis=1)
+    keep &= nlen > 0
+    normal = normal / np.where(nlen > 0, nlen, 1.0)[:, None]
+
+    flip = np.einsum("ij,ij->i", normal, anchor) > 0
+    normal[flip] = -normal[flip]
+
+    rays = np.stack([(uv[:, 0] - intr.cx) / intr.fx,
+                     (uv[:, 1] - intr.cy) / intr.fy,
+                     np.ones(m)], axis=-1)
+    n_dot_ray = np.einsum("ij,ij->i", normal, rays)
+    n_dot_anchor = np.einsum("ij,ij->i", normal, anchor)
+    grazing = np.abs(n_dot_ray) < 1e-6
+    t = np.where(grazing, 1.0, n_dot_anchor / np.where(grazing, 1.0, n_dot_ray))
+    target = np.where((grazing | (t <= 0.0))[:, None], anchor, t[:, None] * rays)
+
+    keep &= np.linalg.norm(verts - target, axis=1) <= max_distance
+
+    tlen = np.linalg.norm(target, axis=1)
+    keep &= tlen > 0
+    to_cam = -target / np.where(tlen > 0, tlen, 1.0)[:, None]
+    cos_inc = np.einsum("ij,ij->i", normal, to_cam)
+    keep &= cos_inc >= np.cos(np.deg2rad(_MAX_NORMAL_ANGLE))
+
+    idx = np.flatnonzero(keep)
+    return CorrespondenceSet(idx, target[idx], normal[idx])
+
+
+def _assert_matches_reference(verts, frame, intr, max_distance):
+    """The same matches and normals as the reference, byte for byte; the
+    points to a few units in the last place. Returns the search's set.
+
+    The dot products n . anchor and n . ray are summed in another order
+    than the reference's einsum, which moves the ray-cast point by
+    rounding alone."""
+    got = find_correspondences(verts, frame, intr, max_distance)
+    ref = _find_correspondences_reference(verts, frame, intr, max_distance)
+    assert got.vertex_indices.tobytes() == ref.vertex_indices.tobytes()
+    assert got.normals.tobytes() == ref.normals.tobytes()
+    err = np.abs(got.points - ref.points).max(axis=1, initial=0.0)
+    assert (err <= 8 * np.finfo(float).eps * np.linalg.norm(ref.points, axis=1)).all()
+    return got
+
+
+def _noisy_head_frames(head):
+    """(vertices, frame) pairs: the test head at several poses and
+    expressions, rendered with 2 mm depth noise and a blanked band of
+    rows, searched from a nearby pose at another expression."""
+    intr = CameraIntrinsics(fx=300.0, fy=300.0, cx=160.0, cy=120.0,
+                            width=320, height=240)
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        pose = RigidPose.from_axis_angle(rng.normal(size=3), np.deg2rad(rng.uniform(0, 20)),
+                                         (*rng.uniform(-0.02, 0.02, 2), rng.uniform(0.4, 0.7)))
+        x = rng.uniform(0, 0.8, head.n) * (rng.uniform(size=head.n) < 0.15)
+        frame = add_depth_noise(render_depth(evaluate_mesh(head, x), pose, intr), 0.002, rng)
+        values = np.array(frame.values)
+        top = rng.integers(60, 160)
+        values[top:top + 24] = 0.0
+        near = apply_twist(pose, np.deg2rad(1.5) * rng.normal(size=3),
+                           rng.normal(scale=0.003, size=3))
+        verts = near.apply(evaluate_mesh(head, rng.uniform(0, 0.3, head.n)).vertices)
+        yield intr, verts, DepthFrame(values)
+
+
+def test_head_matches_reference(head):
+    for intr, verts, frame in _noisy_head_frames(head):
+        for max_distance in (0.02, 0.005, WIDE):
+            found = _assert_matches_reference(verts, frame, intr, max_distance)
+            assert len(found) > 100
+
+
+def _vertex_at(intr, u, v, z):
+    """The camera-frame point at depth z that projects to pixel (u, v)."""
+    return ((u - intr.cx) * z / intr.fx, (v - intr.cy) * z / intr.fy, z)
+
+
+def _rejection_case(kind):
+    """(intr, depth, vertices, max_distance, kept): a 16 x 16 frame, mostly
+    a wall at 1 m, and three vertices, of which the middle one is built
+    to fail one step of the search and the outer two match."""
+    intr = CameraIntrinsics(fx=8.0, fy=8.0, cx=8.5, cy=8.5, width=16, height=16)
+    depth = np.ones((16, 16))
+    good = [(4.5, 11.5), (11.5, 4.5)]
+    crafted = _vertex_at(intr, 8.5, 8.5, 1.0)
+    max_distance = WIDE
+    kept = [0, 2]
+    if kind == "behind the camera":
+        crafted = (0.0, 0.0, -1.0)
+    elif kind == "on the camera plane":
+        crafted = (0.0, 0.0, 0.0)
+    elif kind == "outside the window":
+        # an image pixel, but its left neighbour is not
+        crafted = _vertex_at(intr, 0.5, 8.5, 1.0)
+    elif kind == "invalid neighbour depth":
+        depth[8, 9] = 0.0
+    elif kind == "zero-length normal":
+        # with positive depths the two tangents are never parallel, so
+        # the normal's squared length has to underflow: a patch at the
+        # smallest float32 depth, seen through a very long lens
+        intr = CameraIntrinsics(fx=1e70, fy=1e70, cx=8.5, cy=8.5, width=16, height=16)
+        tiny = float(np.float32(1e-45))
+        depth[7:10, 7:10] = tiny
+        crafted = _vertex_at(intr, 8.5, 8.5, tiny)
+    elif kind == "grazing ray":
+        # a wide-angle pixel whose right and lower neighbours lie 4000 km
+        # away: the normal is (1, 1, -1) all but exactly, the view ray
+        # through the pixel's far corner misses the tangent plane by
+        # under 1e-6, and the match falls back to the pixel's own point
+        intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=8.5, cy=8.5, width=16, height=16)
+        depth[8, 9] = depth[9, 8] = 4e6
+        good = [(7.5, 7.5), (7.5, 8.5)]
+        crafted = _vertex_at(intr, 9.0 - 2e-7, 9.0 - 2e-7, 1.0)
+        kept = [0, 1, 2]
+    elif kind == "distance gate":
+        crafted = _vertex_at(intr, 8.5, 8.5, 1.05)
+        max_distance = 0.02
+    elif kind == "incidence gate":
+        # the pixel's left and right neighbours differ in depth by
+        # 0.5 m, a slope of about 63 degrees
+        depth[8, 7], depth[8, 9] = 0.75, 1.25
+    verts = np.array([_vertex_at(intr, *good[0], 1.0), crafted,
+                      _vertex_at(intr, *good[1], 1.0)])
+    return intr, DepthFrame(depth), verts, max_distance, kept
+
+
+@pytest.mark.parametrize("kind", ["behind the camera", "on the camera plane",
+                                  "outside the window", "invalid neighbour depth",
+                                  "zero-length normal", "grazing ray", "distance gate",
+                                  "incidence gate"])
+def test_each_rejection_matches_reference(kind):
+    intr, frame, verts, max_distance, kept = _rejection_case(kind)
+    found = _assert_matches_reference(verts, frame, intr, max_distance)
+    assert list(found.vertex_indices) == kept
+    if kind == "grazing ray":
+        assert list(found.points[1]) == [0.0, 0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -169,14 +169,22 @@ def test_assembled_value_matches_direct_residuals(scene, head, intr):
     assert abs(q.value(x_lin) - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
-def _assemble_reference(model, pose, corrs, landmarks, intr, x_lin, cfg):
+def _assemble_reference(model, pose, corrs, landmarks, intr, x_lin, cfg,
+                        contract=None):
     """The plain form straight from model.basis, not its cached copy:
-    the (m, n) Jacobian from a vertex-major view of the (n, V, 3) basis,
-    and the form read from the Gram matrix of [a h]."""
+    the (m, n) Jacobian from the (m, 3, n) blocks gathered out of a
+    vertex-major view of the (n, V, 3) basis, and the form read from the
+    Gram matrix of [a h]. `contract` maps the rotated gradients (m, 3)
+    and those blocks to the Jacobian; by default it is the solver's
+    batched matmul. The blocks are made contiguous, as a gather from the
+    cached copy is, because matmul's rounding depends on the layout."""
     rot = quat_to_matrix(pose.rotation)
     verts_cam = pose.apply(evaluate_mesh(model, x_lin).vertices)
     idx, grad, r = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
-    a = np.einsum("mc,mkc->mk", grad @ rot, model.basis.transpose(1, 0, 2)[idx])
+    if contract is None:
+        def contract(g, b):
+            return (g[:, None, :] @ b)[:, 0]
+    a = contract(grad @ rot, np.ascontiguousarray(model.basis.transpose(1, 2, 0)[idx]))
     M = np.column_stack([a, r - a @ x_lin])
     N = M.T @ M
     n = model.n
@@ -246,6 +254,31 @@ def _small_model_cases(kind):
 def test_assemble_bit_identical_on_small_models(intr, kind):
     for model, pose, corrs, landmarks, x_lin in _small_model_cases(kind):
         _assert_matches_reference(model, pose, corrs, landmarks, intr, x_lin, SolverConfig())
+
+
+def _einsum_contraction(g, b):
+    return np.einsum("mc,mck->mk", g, b)
+
+
+@pytest.mark.parametrize("kind", ["head", "dense", "unmoved-vertex"])
+def test_assemble_matches_einsum_contraction(scene, head, intr, kind):
+    # the batched matmul sums each row's three products in another order
+    # than einsum does, so the forms agree to rounding, not bit for bit
+    if kind == "head":
+        _, frame, landmarks = scene
+        pose = frontal_pose()
+        x_lin = np.random.default_rng(13).uniform(0, 0.5, head.n)
+        corrs = find_correspondences(pose.apply(evaluate_mesh(head, x_lin).vertices),
+                                     frame, intr, _MAX_DISTANCE)
+        cases = [(head, pose, corrs, landmarks, x_lin)]
+    else:
+        cases = _small_model_cases(kind)
+    for model, pose, corrs, landmarks, x_lin in cases:
+        got = assemble_quadratic(model, pose, corrs, landmarks, intr, x_lin, SolverConfig())
+        ref = _assemble_reference(model, pose, corrs, landmarks, intr, x_lin, SolverConfig(),
+                                  contract=_einsum_contraction)
+        for x, y in ((got.H, ref.H), (got.g, ref.g), (got.c, ref.c)):
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
 
 
 @pytest.fixture(scope="module")

@@ -267,9 +267,9 @@ def _rejection_case(kind):
         crafted = _vertex_at(intr, 8.5, 8.5, tiny)
     elif kind == "grazing ray":
         # a wide-angle pixel whose right and lower neighbours lie 4000 km
-        # away: the normal is (1, 1, -1) all but exactly, the view ray
-        # through the pixel's far corner misses the tangent plane by
-        # under 1e-6, and the match falls back to the pixel's own point
+        # away: the normal is (1, 1, -1) all but exactly, so a view ray
+        # near the pixel's far corner is within 1e-6 of parallel to the
+        # tangent plane, and the match falls back to the pixel's own point
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=8.5, cy=8.5, width=16, height=16)
         depth[8, 9] = depth[9, 8] = 4e6
         good = [(7.5, 7.5), (7.5, 8.5)]

@@ -340,7 +340,7 @@ def test_test_head_shape_and_determinism():
 
 def test_default_landmarks_are_pinned(head):
     # farthest-point picks over the neutral vertices; a change to the
-    # distance arithmetic that moved a single tie would show here
+    # distance arithmetic that changed a single pick would show here
     picks = [1728, 666, 11, 1999, 1040, 475, 269, 1276, 853, 1794, 1646, 366, 2017,
              1215, 216, 148, 0, 1661, 673, 782, 1448, 2025, 1776, 1168, 1259, 99, 710,
              1097, 1437, 1839, 448, 1282, 183, 172, 507, 1897, 1601, 387, 88, 742]

@@ -1,15 +1,16 @@
 """Point-to-plane alignment: recovering head pose from a depth frame.
 
 Renders the neutral head at a known pose, starts the alignment from a
-deliberately wrong guess, and watches point-to-plane ICP pull it back.
-The per-iteration RMS error comes out of the diagnostics.
+deliberately wrong guess, and watches the fitter's point-to-plane pose
+step pull it back. The per-iteration objective comes out of the fit.
 """
 
 import numpy as np
 
 from blendfit import CameraIntrinsics, RigidPose
 from blendfit.geometry import pose_delta, quat_from_rotvec, quat_multiply
-from blendfit.icp import align_rigid, initial_pose_from_depth
+from blendfit.icp import initial_pose_from_depth
+from blendfit.solver import align_rigid
 from blendfit.synth import frontal_pose, make_test_head, render_depth
 
 head = make_test_head()
@@ -26,15 +27,15 @@ init = RigidPose(quat_multiply(quat_from_rotvec(rotvec), true_pose.rotation),
 rot0, trans0 = pose_delta(init, true_pose)
 print(f"initial error: {np.rad2deg(rot0):.2f} deg, {trans0 * 1e3:.1f} mm")
 
-recovered, diag = align_rigid(head.neutral, frame, intr, init)
+recovered, fit = align_rigid(head.neutral, frame, intr, init)
 rot1, trans1 = pose_delta(recovered, true_pose)
-print(f"after ICP:     {np.rad2deg(rot1):.4f} deg, {trans1 * 1e3:.4f} mm")
+print(f"after alignment: {np.rad2deg(rot1):.4f} deg, {trans1 * 1e3:.4f} mm")
 
-# mean_errors holds mean squared point-to-plane distances (m^2); their
-# square root is the RMS distance
-print("\nRMS point-to-plane error per iteration:")
-for i, e in enumerate(diag.mean_errors):
-    print(f"  iter {i:2d}: {np.sqrt(e) * 1e3:.4f} mm")
+# the fitter's objective: w_d times the sum of squared point-to-plane
+# distances (m^2) over that iteration's matches
+print("\nobjective per iteration:")
+for i, f in enumerate(fit.objective_trace):
+    print(f"  iter {i:2d}: {f:.6g}")
 
 # with no guess at all, the depth centroid gives a workable starting point
 guess = initial_pose_from_depth(head.neutral, frame, intr)

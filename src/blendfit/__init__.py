@@ -37,13 +37,7 @@ from .geometry import (
     validate_bsc,
     vertex_normals,
 )
-from .icp import (
-    DegenerateGeometryError,
-    IcpDiagnostics,
-    InsufficientDataError,
-    align_rigid,
-    initial_pose_from_depth,
-)
+from .icp import InsufficientDataError, initial_pose_from_depth
 from .metrics import (
     ErrorBreakdown,
     FrameAlignment,
@@ -67,6 +61,7 @@ from .solver import (
     SolverConfig,
     TrackingError,
     TrackResult,
+    align_rigid,
     assemble_quadratic,
     evaluate_objective,
     fit_frame,

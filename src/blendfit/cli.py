@@ -25,7 +25,6 @@ import numpy as np
 
 from . import io
 from .geometry import BscSequence, CameraIntrinsics, evaluate_mesh
-from .icp import DegenerateGeometryError, InsufficientDataError
 from .icp import initial_pose_from_depth  # noqa: F401  not called; perfbench/tracer.py wraps it by this name
 from .metrics import (
     FrameAlignment,
@@ -392,8 +391,7 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"blendfit {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except (TrackingError, InsufficientDataError, DegenerateGeometryError,
-            OSError) as exc:
+    except (TrackingError, OSError) as exc:
         print(f"blendfit {args.command}: failed: {exc}", file=sys.stderr)
         return 2
 

@@ -229,7 +229,7 @@ class RigidPose:
         q = np.asarray(self.rotation, dtype=np.float64).reshape(4)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         # NaN fails both checks; kept cheap, as every candidate pose of
-        # the pose step is built here
+        # the fitter's joint step is built here
         if not abs(np.linalg.norm(q) - 1.0) <= 1e-9:
             raise ValueError(f"quaternion norm {np.linalg.norm(q)!r} not unit")
         if not all(map(math.isfinite, t.tolist())):

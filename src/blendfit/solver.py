@@ -49,6 +49,11 @@ held one is the bound the step's candidates are scored against, and the
 evaluation the step hands back (the accepted candidate's, or the bound
 itself when every candidate is rejected) is held next; an outer
 iteration builds one mesh per scored candidate and nothing twice.
+
+Rigid alignment (`align_rigid`) is the same loop on the mesh alone: a
+model whose one shape is all zeros, so the joint step is the
+Gauss-Newton twist, with a 5 cm match gate in place of the fitter's
+2 cm one.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ from .geometry import (
     BscSequence,
     CameraIntrinsics,
     DimensionMismatchError,
+    Mesh,
     RigidPose,
     SequenceFrame,
     apply_twist,
@@ -83,7 +89,6 @@ from .geometry import (
 from .icp import (
     _COND_LIMIT,
     InsufficientDataError,
-    align_rigid,  # noqa: F401  not called; perfbench/tracer.py wraps it by this name
     backtrack,
     initial_pose_from_depth,
     twist_rows,
@@ -91,7 +96,8 @@ from .icp import (
 
 log = logging.getLogger(__name__)
 
-_MAX_DISTANCE = 0.02            # meters, the depth match gate
+_MAX_DISTANCE = 0.02            # meters, fit_frame's depth match gate
+_RIGID_MAX_DISTANCE = 0.05      # meters, align_rigid's
 _SWEEP_TOL = 1e-10
 _MAX_ITERATIONS = 10            # outer iterations of one fit_frame
 _OBJECTIVE_REL_TOL = 1e-6       # fit_frame's stall rule
@@ -234,8 +240,8 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
     h = r - a x_lin, and (form, T, t0) is returned, where t = T x + t0
     is the minimizing twist at each x. When J has rank below 6
     numerically (fewer than 6 rows, or cond(J^T J) above
-    `icp._COND_LIMIT`, `icp.pose_step`'s test), the twist stays 0: the
-    form is the plain one, read from N, and T, t0 are zeros. Row i of a
+    `icp._COND_LIMIT`), the twist stays 0: the form is the plain one,
+    read from N, and T, t0 are zeros. Row i of a
     is the rotated gradient (1, 3) times the (3, n) block of the
     vertex-major basis at the row's vertex, every shape's delta there,
     all rows in one batched matmul.
@@ -426,9 +432,10 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     previous frame's fit), else from the depth-centroid start of
     `icp.initial_pose_from_depth` on this frame, which the fitter's own
     steps then align; a frame with too little depth for that start fails
-    with TrackingError. Each outer iteration refreshes the depth
-    correspondences, then takes one Gauss-Newton step on the pose and
-    the coefficients together on that frozen set: the coefficients are
+    with TrackingError. The coefficients start from `prev.x`, else zero.
+    Each outer iteration refreshes the depth correspondences, gated at
+    2 cm, then takes one Gauss-Newton step on the pose and the
+    coefficients together on that frozen set: the coefficients are
     solved on the quadratic with the twist eliminated, the twist is read
     back from them, and the stacked step is halved toward the current
     state until it does not increase the objective, so the recorded
@@ -443,8 +450,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     ValueError when a landmark names a vertex the model does not have.
     """
     cfg = cfg or SolverConfig()
-    n_land = 0 if landmarks is None else len(landmarks)
-    if n_land:
+    if landmarks is not None and len(landmarks):
         landmarks.check_vertices(model.vertex_count)
     if init_pose is not None:
         pose = init_pose
@@ -456,7 +462,35 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
         except InsufficientDataError as exc:
             raise TrackingError(f"no start for a cold fit: {exc}") from exc
     x = np.zeros(model.n) if prev is None else np.asarray(prev.x, dtype=float).copy()
+    return _fit(model, frame, landmarks, intr, pose, x, cfg, _MAX_DISTANCE)
 
+
+def align_rigid(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
+                init: RigidPose) -> tuple[RigidPose, FrameFit]:
+    """Point-to-plane rigid alignment of `mesh` to the depth of `frame`
+    from `init`; returns the refined pose and the fit that produced it.
+
+    This is `fit_frame`'s loop on a rigid model, the mesh with one
+    all-zero shape held at 0, with no landmarks, the default weights and
+    a 5 cm match gate, which pulls in starts 5 degrees and 2 cm off that
+    `fit_frame`'s 2 cm gate loses. The zero shape has H_kk = 0, so
+    `solve_l1_box` leaves it at 0 and each joint step is the
+    Gauss-Newton twist. On a plane against a plane the twist is singular
+    and `init` comes back unchanged.
+    Raises TrackingError when no vertex matches the frame.
+    """
+    rigid = BlendshapeModel(mesh, np.zeros((1, mesh.vertex_count, 3)), ("rigid",))
+    fit = _fit(rigid, frame, None, intr, init, np.zeros(1), SolverConfig(),
+               _RIGID_MAX_DISTANCE)
+    return fit.pose, fit
+
+
+def _fit(model: BlendshapeModel, frame: DepthFrame, landmarks: LandmarkSet | None,
+         intr: CameraIntrinsics, pose: RigidPose, x, cfg: SolverConfig,
+         gate: float) -> FrameFit:
+    """The outer iterations of `fit_frame` from (pose, x), depth matches
+    gated at `gate` meters."""
+    n_land = 0 if landmarks is None else len(landmarks)
     trace: list[float] = []
     converged = False
     corr_count = 0
@@ -464,7 +498,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
         verts = evaluate_mesh(model, x).vertices
         verts_cam = pose.apply(verts)
         for _ in range(_MAX_ITERATIONS):
-            corrs = find_correspondences(verts_cam, frame, intr, _MAX_DISTANCE)
+            corrs = find_correspondences(verts_cam, frame, intr, gate)
             corr_count = len(corrs)
             if corr_count == 0 and n_land == 0:
                 raise TrackingError("no depth correspondences and no landmarks")

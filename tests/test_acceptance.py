@@ -25,7 +25,7 @@ from blendfit import (
 from blendfit import io as bio
 from blendfit.correspondence import landmark_jacobian
 from blendfit.geometry import pose_delta, project, quat_from_rotvec, quat_multiply, RigidPose
-from blendfit.icp import align_rigid
+from blendfit.solver import align_rigid
 from blendfit.metrics import VisemeTable
 from blendfit.personalize import ExampleExpression, PersonalizeConfig, personalize
 from blendfit.solver import QuadraticForm, SolverConfig, fit_frame, solve_l1_box

@@ -839,7 +839,7 @@ def test_fit_frame_neutral_cold_start(head, head_landmark_ids, intr):
 def test_fit_frame_cold_start_aligns_without_icp(head, head_landmark_ids, intr,
                                                  monkeypatch, pose):
     # a cold fit starts from the depth centroid and its own pose steps
-    # align the head; ICP is never called
+    # align the head; align_rigid is never called
     def no_icp(*args, **kwargs):
         raise AssertionError("fit_frame called align_rigid")
 

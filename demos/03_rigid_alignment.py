@@ -9,8 +9,7 @@ import numpy as np
 
 from blendfit import CameraIntrinsics, RigidPose
 from blendfit.geometry import pose_delta, quat_from_rotvec, quat_multiply
-from blendfit.icp import initial_pose_from_depth
-from blendfit.solver import align_rigid
+from blendfit.solver import align_rigid, initial_pose_from_depth
 from blendfit.synth import frontal_pose, make_test_head, render_depth
 
 head = make_test_head()

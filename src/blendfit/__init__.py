@@ -37,7 +37,6 @@ from .geometry import (
     validate_bsc,
     vertex_normals,
 )
-from .icp import InsufficientDataError, initial_pose_from_depth
 from .metrics import (
     ErrorBreakdown,
     FrameAlignment,
@@ -65,6 +64,7 @@ from .solver import (
     assemble_quadratic,
     evaluate_objective,
     fit_frame,
+    initial_pose_from_depth,
     solve_l1_box,
     track_sequence,
 )

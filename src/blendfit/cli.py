@@ -25,7 +25,6 @@ import numpy as np
 
 from . import io
 from .geometry import BscSequence, CameraIntrinsics, evaluate_mesh
-from .icp import initial_pose_from_depth  # noqa: F401  not called; perfbench/tracer.py wraps it by this name
 from .metrics import (
     FrameAlignment,
     UnknownPhonemeError,
@@ -35,6 +34,7 @@ from .metrics import (
 )
 from .personalize import PersonalizeConfig, RankDeficiencyError, personalize
 from .solver import SolverConfig, TrackingError, track_sequence
+from .solver import initial_pose_from_depth  # noqa: F401  not called; perfbench/tracer.py wraps it by this name
 from .synth import (
     NoiseConfig,
     ScriptFrame,
@@ -172,7 +172,7 @@ def _cmd_track(args) -> int:
         "config": dataclasses.asdict(cfg),
         "frames": [
             None if fit is None else {
-                "objective": fit.objective_trace[-1] if fit.objective_trace else None,
+                "objective": fit.objective,
                 "correspondences": fit.correspondence_count,
                 "landmarks": fit.landmark_count,
                 "converged": fit.converged,

@@ -10,7 +10,7 @@ which decomposes into independent n x n systems sharing one activation
 Gram matrix, so a single factorization covers every vertex and axis.
 Optional 2D landmark constraints add Gauss-Newton reprojection rows for
 the constrained vertices only; those vertices are re-solved as coupled
-3n x 3n systems whose steps `icp.backtrack` halves against the true
+3n x 3n systems whose steps `solver.backtrack` halves against the true
 objective, so the result never scores worse than the generic initializer.
 """
 
@@ -33,7 +33,7 @@ from .geometry import (
     project,
     validate_bsc,
 )
-from .icp import backtrack
+from .solver import backtrack
 
 log = logging.getLogger(__name__)
 
@@ -78,12 +78,16 @@ class PersonalizeConfig:
 
 
 def _landmark_objective(example: ExampleExpression, b0_v, basis_v, vj) -> float:
+    """The squared reprojection error of vertex vj, summed over every
+    landmark of `example` bound to it."""
     lm = example.landmarks
-    j = list(lm.vertex_indices).index(vj)
     v_model = b0_v + basis_v.T @ example.activation
-    v_cam = example.pose.apply(v_model)
-    res = project(example.camera, v_cam) - lm.pixels[j]
-    return float(res @ res)
+    uv = project(example.camera, example.pose.apply(v_model))
+    total = 0.0
+    for pixel in lm.pixels[lm.vertex_indices == vj]:
+        res = uv - pixel
+        total += float(res @ res)
+    return total
 
 
 def personalize(generic: BlendshapeModel, examples, cfg: PersonalizeConfig | None = None
@@ -180,19 +184,21 @@ def _solve_constrained_vertex(generic, examples, cfg, b0_v, basis_v, vj,
         for ex in examples:
             if ex.landmarks is None:
                 continue
-            vidx = [int(v) for v in ex.landmarks.vertex_indices]
-            if vj not in vidx:
+            pixels = ex.landmarks.pixels[ex.landmarks.vertex_indices == vj]
+            if not len(pixels):
                 continue
-            j = vidx.index(vj)
             v_model = b0_v + cur.T @ ex.activation
             v_cam = ex.pose.apply(v_model)
             jac_px = landmark_jacobian(v_cam, ex.camera)          # (2, 3)
             # d v_cam / d vec(B_v) with vec index k*3+c
             jr = jac_px @ ex.pose.matrix()                        # (2, 3)
             big_j = np.kron(ex.activation[None, :], jr).reshape(2, 3 * n)
-            r0 = project(ex.camera, v_cam) - ex.landmarks.pixels[j]
-            a += cfg.landmark_weight * (big_j.T @ big_j)
-            rhs += cfg.landmark_weight * (big_j.T @ (big_j @ cur.reshape(-1) - r0))
+            uv = project(ex.camera, v_cam)
+            # two rows per landmark on vj, all sharing the Jacobian
+            for pixel in pixels:
+                r0 = uv - pixel
+                a += cfg.landmark_weight * (big_j.T @ big_j)
+                rhs += cfg.landmark_weight * (big_j.T @ (big_j @ cur.reshape(-1) - r0))
         try:
             new = np.linalg.solve(a, rhs).reshape(n, 3)
         except np.linalg.LinAlgError as exc:

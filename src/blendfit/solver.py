@@ -31,24 +31,26 @@ sweeps where coordinate descent alone crawls along correlated shapes.
 Frame fitting refreshes the depth correspondences once per outer
 iteration, then takes one Gauss-Newton step on the rigid pose and the
 coefficients together against the same full objective, on that frozen
-set. The pose enters through the twist rows of every weighted residual,
-depth and landmark alike. The twist has no penalty and no box, so it is
-eliminated exactly (the Schur complement of bundle adjustment, Triggs
-et al. 2000): one Gram matrix N of the twist rows J, the coefficient
-rows and the residuals gives the quadratic in x as the Schur complement
-of J^T J in N, and the twist that goes with the solved x from
-J^T J's solve. When J^T J is too ill-conditioned to fix the twist (a
-plane against a plane), the step moves the coefficients alone. The step
-goes through `icp.backtrack`, halved until it does not increase the
+set. The pose enters through the twist rows (`twist_rows`) of every
+weighted residual, depth and landmark alike. The twist has no penalty
+and no box, so it is eliminated exactly (the Schur complement of bundle
+adjustment, Triggs et al. 2000): one Gram matrix N of the twist rows J,
+the coefficient rows and the residuals gives the quadratic in x as the
+Schur complement of J^T J in N, and the twist that goes with the solved
+x from J^T J's solve. When J^T J is too ill-conditioned to fix the twist
+(a plane against a plane), the step moves the coefficients alone. The
+step goes through `backtrack`, halved until it does not increase the
 objective, so the recorded per-iteration trace is non-increasing. The
 fitter holds one evaluation of its current (pose, x): the objective, the
-mesh vertices, the same vertices in the camera frame and the residual
-rows on the current correspondence set. The correspondence search and
-the quadratic read it. Evaluations compare by their objective, so the
-held one is the bound the step's candidates are scored against, and the
-evaluation the step hands back (the accepted candidate's, or the bound
-itself when every candidate is rejected) is held next; an outer
-iteration builds one mesh per scored candidate and nothing twice.
+mesh vertices in the camera frame and the residual rows on the current
+correspondence set. The correspondence search and the quadratic read
+it. Evaluations compare by their objective, so the held one is the
+bound the step's candidates are scored against, and the evaluation the
+step hands back (the accepted candidate's, or the bound itself when
+every candidate is rejected) is held next; an outer iteration builds
+one mesh per scored candidate and nothing twice. A cold fit starts from
+`initial_pose_from_depth`, the mesh centroid moved onto the centroid of
+the valid depth pixels.
 
 Rigid alignment (`align_rigid`) is the same loop on the mesh alone: a
 model whose one shape is all zeros, so the joint step is the
@@ -82,16 +84,10 @@ from .geometry import (
     RigidPose,
     SequenceFrame,
     apply_twist,
+    backproject,
     evaluate_mesh,
     project,
     quat_to_matrix,
-)
-from .icp import (
-    _COND_LIMIT,
-    InsufficientDataError,
-    backtrack,
-    initial_pose_from_depth,
-    twist_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -101,6 +97,9 @@ _RIGID_MAX_DISTANCE = 0.05      # meters, align_rigid's
 _SWEEP_TOL = 1e-10
 _MAX_ITERATIONS = 10            # outer iterations of one fit_frame
 _OBJECTIVE_REL_TOL = 1e-6       # fit_frame's stall rule
+_MAX_HALVINGS = 4               # backtrack's midpoints toward the start
+_COND_LIMIT = 1e12              # cond(J^T J) above which the twist stays 0
+_MIN_DEPTH_PIXELS = 50          # initial_pose_from_depth's least valid depth
 
 
 class TrackingError(RuntimeError):
@@ -180,9 +179,12 @@ class QuadraticForm:
 
 @dataclass(frozen=True)
 class FrameFit:
-    """Result of fitting one frame. `x` is the coefficient estimate."""
+    """Result of fitting one frame. `x` is the coefficient estimate and
+    `objective` the objective at the returned (pose, x) on the last
+    correspondence set."""
     pose: RigidPose
     x: np.ndarray
+    objective: float
     objective_trace: tuple
     correspondence_count: int
     landmark_count: int
@@ -240,7 +242,7 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
     h = r - a x_lin, and (form, T, t0) is returned, where t = T x + t0
     is the minimizing twist at each x. When J has rank below 6
     numerically (fewer than 6 rows, or cond(J^T J) above
-    `icp._COND_LIMIT`), the twist stays 0: the form is the plain one,
+    `_COND_LIMIT`), the twist stays 0: the form is the plain one,
     read from N, and T, t0 are zeros. Row i of a
     is the rotated gradient (1, 3) times the (3, n) block of the
     vertex-major basis at the row's vertex, every shape's delta there,
@@ -384,34 +386,55 @@ def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
     return x, trace
 
 
+def twist_rows(points, grads) -> np.ndarray:
+    """(M, 6) Jacobian [p x g, g] for a left twist (omega, tau) of M
+    residuals, residual i depending only on camera-frame point points[i]
+    with gradient grads[i] (M, 3) there."""
+    return np.concatenate([np.cross(points, grads), grads], axis=1)
+
+
+def backtrack(cur, full, bound: float, evaluate):
+    """(point, value, halvings) for the first of `full` and up to four
+    repeated midpoints 0.5 * (cand + cur) whose value, whatever
+    `evaluate` returned for it, compares `<= bound`; (None, None, 4)
+    when none does. The fitter's joint step and the rig refinement both
+    use it."""
+    cand = full
+    for halvings in range(_MAX_HALVINGS + 1):
+        value = evaluate(cand)
+        if value <= bound:
+            return cand, value, halvings
+        cand = 0.5 * (cand + cur)
+    return None, None, _MAX_HALVINGS
+
+
 @dataclass(frozen=True, order=True)
 class _Evaluation:
     """The objective at one (pose, x) on a frozen correspondence set,
-    with what it was computed from: the mesh vertices of x, those
-    vertices through the pose, and the residual rows (idx, grad, r) on
-    the set. Evaluations compare by their objective alone, so one can be
-    the bound that `backtrack` scores candidates against."""
+    with what it was computed from: the mesh vertices of x through the
+    pose, and the residual rows (idx, grad, r) on the set. Evaluations
+    compare by their objective alone, so one can be the bound that
+    `backtrack` scores candidates against."""
     f: float
-    verts: np.ndarray = field(compare=False)
     verts_cam: np.ndarray = field(compare=False)
     rows: tuple = field(compare=False)
 
 
-def _evaluate(verts, verts_cam, x, corrs: CorrespondenceSet, landmarks,
+def _evaluate(verts_cam, x, corrs: CorrespondenceSet, landmarks,
               intr, cfg: SolverConfig) -> _Evaluation:
-    """Evaluate the joint objective at x for the mesh vertices `verts` of
-    x, given as `verts_cam` through the pose."""
+    """Evaluate the joint objective at x for the mesh vertices of x,
+    given as `verts_cam` through the pose."""
     rows = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
     r = rows[2]
     f = float(r @ r) + cfg.w_r * float(np.sum(np.abs(x)))
-    return _Evaluation(f, verts, verts_cam, rows)
+    return _Evaluation(f, verts_cam, rows)
 
 
 def _evaluate_at(model: BlendshapeModel, pose: RigidPose, x, corrs,
                  landmarks, intr, cfg: SolverConfig) -> _Evaluation:
     """Build the mesh of x and evaluate the joint objective at (pose, x)."""
     verts = evaluate_mesh(model, x).vertices
-    return _evaluate(verts, pose.apply(verts), x, corrs, landmarks, intr, cfg)
+    return _evaluate(pose.apply(verts), x, corrs, landmarks, intr, cfg)
 
 
 def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
@@ -422,6 +445,28 @@ def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
     return _evaluate_at(model, pose, x, corrs, landmarks, intr, cfg).f
 
 
+def initial_pose_from_depth(mesh: Mesh, frame: DepthFrame,
+                            intr: CameraIntrinsics) -> RigidPose:
+    """Coarse pose guess: translate the mesh centroid onto the centroid
+    of the observed depth cloud, identity rotation.
+
+    Every cold `fit_frame` starts from it, and the fitter's joint steps
+    do the alignment, so it only has to be close enough for roughly
+    frontal captures. Raises TrackingError when the frame has fewer than
+    50 valid depth values.
+    """
+    mask = frame.valid_mask()
+    n_valid = int(mask.sum())
+    if n_valid < _MIN_DEPTH_PIXELS:
+        raise TrackingError(f"no start for a cold fit: {n_valid} valid depth "
+                            f"pixels < required {_MIN_DEPTH_PIXELS}")
+    rows, cols = np.nonzero(mask)
+    cloud = backproject(intr, cols + 0.5, rows + 0.5,
+                        frame.values[rows, cols].astype(np.float64))
+    t = cloud.mean(axis=0) - mesh.vertices.mean(axis=0)
+    return RigidPose(np.array([1.0, 0.0, 0.0, 0.0]), t)
+
+
 def fit_frame(model: BlendshapeModel, frame: DepthFrame,
               landmarks: LandmarkSet | None, intr: CameraIntrinsics,
               prev: FrameFit | None = None, cfg: SolverConfig | None = None,
@@ -430,7 +475,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
 
     The pose starts from `init_pose` if given, else from `prev` (the
     previous frame's fit), else from the depth-centroid start of
-    `icp.initial_pose_from_depth` on this frame, which the fitter's own
+    `initial_pose_from_depth` on this frame, which the fitter's own
     steps then align; a frame with too little depth for that start fails
     with TrackingError. The coefficients start from `prev.x`, else zero.
     Each outer iteration refreshes the depth correspondences, gated at
@@ -457,10 +502,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     elif prev is not None:
         pose = prev.pose
     else:
-        try:
-            pose = initial_pose_from_depth(model.neutral, frame, intr)
-        except InsufficientDataError as exc:
-            raise TrackingError(f"no start for a cold fit: {exc}") from exc
+        pose = initial_pose_from_depth(model.neutral, frame, intr)
     x = np.zeros(model.n) if prev is None else np.asarray(prev.x, dtype=float).copy()
     return _fit(model, frame, landmarks, intr, pose, x, cfg, _MAX_DISTANCE)
 
@@ -495,15 +537,14 @@ def _fit(model: BlendshapeModel, frame: DepthFrame, landmarks: LandmarkSet | Non
     converged = False
     corr_count = 0
     try:
-        verts = evaluate_mesh(model, x).vertices
-        verts_cam = pose.apply(verts)
+        verts_cam = pose.apply(evaluate_mesh(model, x).vertices)
         for _ in range(_MAX_ITERATIONS):
             corrs = find_correspondences(verts_cam, frame, intr, gate)
             corr_count = len(corrs)
             if corr_count == 0 and n_land == 0:
                 raise TrackingError("no depth correspondences and no landmarks")
 
-            cur = _evaluate(verts, verts_cam, x, corrs, landmarks, intr, cfg)
+            cur = _evaluate(verts_cam, x, corrs, landmarks, intr, cfg)
             f_ref = cur.f
 
             # one Gauss-Newton step on (twist, x): the quadratic has the
@@ -522,7 +563,7 @@ def _fit(model: BlendshapeModel, frame: DepthFrame, landmarks: LandmarkSet | Non
                                        corrs, landmarks, intr, cfg))
             if step is not None:
                 pose, x, cur = apply_twist(pose, step[:3], step[3:6]), step[6:], scored
-            verts, verts_cam = cur.verts, cur.verts_cam
+            verts_cam = cur.verts_cam
 
             if trace and cur.f > trace[-1]:
                 # the refreshed set raised the raw sum and the descent on
@@ -536,7 +577,7 @@ def _fit(model: BlendshapeModel, frame: DepthFrame, landmarks: LandmarkSet | Non
     except BehindCameraError as exc:
         raise TrackingError(f"geometry moved behind the camera: {exc}") from exc
 
-    return FrameFit(pose=pose, x=x, objective_trace=tuple(trace),
+    return FrameFit(pose=pose, x=x, objective=cur.f, objective_trace=tuple(trace),
                     correspondence_count=corr_count, landmark_count=n_land,
                     converged=converged)
 

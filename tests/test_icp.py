@@ -7,7 +7,6 @@ import pytest
 
 from blendfit import (
     DepthFrame,
-    InsufficientDataError,
     Mesh,
     RigidPose,
     TrackingError,
@@ -16,8 +15,7 @@ from blendfit import (
 )
 from blendfit import solver
 from blendfit.geometry import quat_from_axis_angle, quat_from_rotvec, quat_multiply
-from blendfit.icp import backtrack, initial_pose_from_depth
-from blendfit.solver import align_rigid
+from blendfit.solver import align_rigid, backtrack, initial_pose_from_depth
 from blendfit.synth import add_depth_noise, frontal_pose, render_depth
 
 from conftest import flat_sheet_model, wall_frame
@@ -214,12 +212,12 @@ def test_initial_pose_from_depth_centers_the_cloud(neutral_mesh, neutral_frame, 
 
 def test_initial_pose_needs_valid_depth(neutral_mesh, intr):
     blank = DepthFrame(np.zeros((intr.height, intr.width), dtype=np.float32))
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(TrackingError, match="no start for a cold fit"):
         initial_pose_from_depth(neutral_mesh, blank, intr)
     # 50 valid pixels are the least it accepts
     values = np.zeros((intr.height, intr.width), dtype=np.float32)
     values.flat[:49] = 0.5
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(TrackingError, match="no start for a cold fit"):
         initial_pose_from_depth(neutral_mesh, DepthFrame(values.copy()), intr)
     values.flat[49] = 0.5
     initial_pose_from_depth(neutral_mesh, DepthFrame(values), intr)

@@ -157,6 +157,28 @@ def test_landmark_constraints_consistent_data():
     np.testing.assert_allclose(fitted.basis, model.basis, atol=1e-6)
 
 
+def test_every_landmark_on_a_vertex_counts():
+    # two landmarks bound to vertex 0, one of them off by (4, -3) px: the
+    # fit must weigh both, so their order does not matter
+    rng = np.random.default_rng(10)
+    model = random_model(rng)
+    cam = CameraIntrinsics(fx=400.0, fy=400.0, cx=80.0, cy=60.0,
+                           width=160, height=120)
+    pose = frontal_pose(0.4)
+
+    def fit(order):
+        examples = []
+        for ex in _spanning_examples(model):
+            px = project(cam, pose.apply(ex.scan.vertices)[0])
+            pixels = np.stack([px, px + [4.0, -3.0]])[list(order)]
+            lms = LandmarkSet(("a", "b"), [0, 0], pixels)
+            examples.append(ExampleExpression(ex.scan, ex.activation,
+                                              landmarks=lms, camera=cam, pose=pose))
+        return personalize(model, examples).basis[:, 0, :]
+
+    np.testing.assert_allclose(fit((0, 1)), fit((1, 0)), rtol=0, atol=1e-10)
+
+
 def test_step_behind_the_camera_is_halved_not_fatal():
     # noisy landmarks pull the full Gauss-Newton step of a constrained
     # vertex behind the camera; that candidate must count as a rise

@@ -27,8 +27,7 @@ from blendfit import (
 )
 from blendfit import solver
 from blendfit.geometry import apply_twist, project, quat_to_matrix
-from blendfit.icp import _COND_LIMIT, twist_rows
-from blendfit.solver import _MAX_DISTANCE, _residual_rows
+from blendfit.solver import _COND_LIMIT, _MAX_DISTANCE, _residual_rows, twist_rows
 from blendfit.synth import (
     NoiseConfig,
     constant_script,
@@ -814,7 +813,32 @@ def test_fit_frame_halved_coefficient_steps_keep_the_trace(scene, head, intr, mo
     assert (np.diff(trace) <= 0.0).all()
     assert fit.converged or len(trace) == solver._MAX_ITERATIONS
     assert evaluate_objective(head, fit.pose, fit.x, searches[-1], landmarks, intr,
-                              cfg) == trace[-1]
+                              cfg) == trace[-1] == fit.objective
+
+
+def test_fit_frame_objective_is_the_returned_state_after_the_break(
+        head, head_landmark_ids, intr, monkeypatch):
+    # a noisy cold fit stops when the refreshed set raises the raw sum
+    # above the recorded trace; that last value is not in the trace, but
+    # it is the objective of the returned state on the last set
+    searches = []
+    real_search = solver.find_correspondences
+
+    def captured_search(*args, **kwargs):
+        searches.append(real_search(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(solver, "find_correspondences", captured_search)
+    x_true = sparse_coefficients(head.n, np.random.default_rng(2))
+    gen = generate_sequence(head, constant_script(x_true, frontal_pose(), 1), intr,
+                            head_landmark_ids,
+                            NoiseConfig(depth_sigma=0.002, landmark_sigma=1.0, seed=2))
+    fit = fit_frame(head, gen.frames[0], gen.landmarks[0], intr)
+    trace = fit.objective_trace
+    assert not fit.converged and len(searches) == len(trace) + 1 < solver._MAX_ITERATIONS
+    assert fit.objective > trace[-1]
+    assert evaluate_objective(head, fit.pose, fit.x, searches[-1], gen.landmarks[0],
+                              intr, SolverConfig()) == fit.objective
 
 
 def test_fit_frame_l1_domination_zeroes_everything(scene, head, intr):

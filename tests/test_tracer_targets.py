@@ -6,12 +6,14 @@ breaks the traced benchmark run. The file is read and executed here,
 not imported, so nothing is written next to it.
 """
 
+import ast
 import importlib
 import sys
 import types
 from pathlib import Path
 
-_TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_TRACER = _ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer(monkeypatch):
@@ -29,3 +31,21 @@ def test_every_tracer_target_resolves(monkeypatch):
     missing = [f"{mod}.{attr}" for mod, attr, _, _ in tracer.TARGETS
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert not missing, f"perfbench/tracer.py targets not found: {missing}"
+
+
+def test_every_tracer_only_import_has_a_target(monkeypatch):
+    # a name imported only for the tracer (`# noqa: F401`) must still be
+    # one it wraps, so the import goes when its target does
+    tracer = _load_tracer(monkeypatch)
+    targets = {(mod, attr) for mod, attr, _, _ in tracer.TARGETS}
+    unused = []
+    for path in sorted((_ROOT / "src" / "blendfit").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "# noqa: F401" in lines[node.end_lineno - 1]):
+                unused += [(f"blendfit.{path.stem}", alias.asname or alias.name)
+                           for alias in node.names]
+    missing = [f"{mod}.{attr}" for mod, attr in unused if (mod, attr) not in targets]
+    assert not missing, f"tracer-only imports with no perfbench/tracer.py target: {missing}"

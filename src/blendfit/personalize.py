@@ -8,8 +8,9 @@ re-solved per vertex as the regularized least squares
 
 which decomposes into independent n x n systems sharing one activation
 Gram matrix, so a single factorization covers every vertex and axis.
-Optional 2D landmark constraints add Gauss-Newton reprojection rows for
-the constrained vertices only; those vertices are re-solved as coupled
+Optional 2D landmark constraints add Gauss-Newton reprojection rows,
+weighted by each landmark's confidence, for the constrained vertices
+only; those vertices are re-solved as coupled
 3n x 3n systems whose steps `solver.backtrack` halves against the true
 objective, so the result never scores worse than the generic initializer.
 """
@@ -78,15 +79,16 @@ class PersonalizeConfig:
 
 
 def _landmark_objective(example: ExampleExpression, b0_v, basis_v, vj) -> float:
-    """The squared reprojection error of vertex vj, summed over every
-    landmark of `example` bound to it."""
+    """The squared reprojection error of vertex vj, weighted by confidence
+    and summed over every landmark of `example` bound to it."""
     lm = example.landmarks
     v_model = b0_v + basis_v.T @ example.activation
     uv = project(example.camera, example.pose.apply(v_model))
+    on_vj = lm.vertex_indices == vj
     total = 0.0
-    for pixel in lm.pixels[lm.vertex_indices == vj]:
+    for pixel, conf in zip(lm.pixels[on_vj], lm.confidences[on_vj]):
         res = uv - pixel
-        total += float(res @ res)
+        total += float(conf * (res @ res))
     return total
 
 
@@ -166,7 +168,8 @@ def _vertex_objective(examples, cfg, b0_v, basis_v, generic_slice, vj) -> float:
 def _solve_constrained_vertex(generic, examples, cfg, b0_v, basis_v, vj,
                               gram, lam) -> np.ndarray:
     """Gauss-Newton refinement of one vertex's (n, 3) basis slice under
-    scan, regularization, and landmark reprojection terms."""
+    scan, regularization, and landmark reprojection terms, each landmark
+    weighted by `landmark_weight` times its confidence."""
     n = generic.n
     generic_slice = generic.basis[:, vj, :]
     # scan + regularizer contributions are constant across GN iterations
@@ -184,7 +187,8 @@ def _solve_constrained_vertex(generic, examples, cfg, b0_v, basis_v, vj,
         for ex in examples:
             if ex.landmarks is None:
                 continue
-            pixels = ex.landmarks.pixels[ex.landmarks.vertex_indices == vj]
+            on_vj = ex.landmarks.vertex_indices == vj
+            pixels = ex.landmarks.pixels[on_vj]
             if not len(pixels):
                 continue
             v_model = b0_v + cur.T @ ex.activation
@@ -195,10 +199,11 @@ def _solve_constrained_vertex(generic, examples, cfg, b0_v, basis_v, vj,
             big_j = np.kron(ex.activation[None, :], jr).reshape(2, 3 * n)
             uv = project(ex.camera, v_cam)
             # two rows per landmark on vj, all sharing the Jacobian
-            for pixel in pixels:
+            for pixel, conf in zip(pixels, ex.landmarks.confidences[on_vj]):
                 r0 = uv - pixel
-                a += cfg.landmark_weight * (big_j.T @ big_j)
-                rhs += cfg.landmark_weight * (big_j.T @ (big_j @ cur.reshape(-1) - r0))
+                w = cfg.landmark_weight * conf
+                a += w * (big_j.T @ big_j)
+                rhs += w * (big_j.T @ (big_j @ cur.reshape(-1) - r0))
         try:
             new = np.linalg.solve(a, rhs).reshape(n, 3)
         except np.linalg.LinAlgError as exc:

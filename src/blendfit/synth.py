@@ -106,38 +106,40 @@ def constant_script(x, pose: RigidPose, count: int, fps: float = 30.0) -> Sequen
 def render_depth(mesh: Mesh, pose: RigidPose, intr: CameraIntrinsics) -> DepthFrame:
     """Software z-buffer rasterization of the posed mesh into a depth frame.
 
-    One batched edge-function pass (Pineda 1988) over every drawable face:
-    each face's clipped pixel bounding box is expanded into (face, pixel)
-    candidate pairs, the barycentrics and perspective-correct depth of all
-    pairs are evaluated element-wise, and the covered pairs are written
-    with an order-independent `np.minimum.at` into the z-buffer. Faces
-    with a corner at or behind the near plane, back faces, faces off
-    screen and faces of zero screen area draw nothing. Pairs are processed in chunks of at
-    most `_PAIR_CHUNK`, a face whose box alone is larger forming its own
-    chunk, so transient memory stays bounded for close-up poses.
+    One batched edge-function pass (Pineda 1988) over every drawable face.
+    The vertices are projected to pixel coordinates once each and gathered
+    per face corner. A face's candidate pixels are the pixel centers inside
+    its corner range, `ceil(min - 0.5)` to `floor(max - 0.5)` on each axis,
+    clipped to the image; they are expanded into (face, pixel) pairs, the
+    barycentrics and perspective-correct depth of all pairs are evaluated
+    element-wise, and the covered pairs are written with an
+    order-independent `np.minimum.at` into the z-buffer. Faces with a
+    corner at or behind the near plane, back faces, faces off screen,
+    faces that contain no pixel center and faces of zero screen area draw
+    nothing. Pairs are processed in chunks of at most `_PAIR_CHUNK`, a
+    face whose box alone is larger forming its own chunk, so transient
+    memory stays bounded for close-up poses.
     """
     h, w = intr.height, intr.width
     if mesh.face_count == 0 or mesh.vertex_count == 0:
         return DepthFrame(np.zeros((h, w), dtype=np.float32))
-    uv, zs = _screen_triangles(mesh, pose, intr)
+    ax, ay, bx, by, cx_, cy_, z0, z1, z2 = _screen_triangles(mesh, pose, intr)
 
-    # pixel-center bounding boxes clipped to the image, as [x, y] pairs
-    # (per-face reductions are written on the corner slices: NumPy
-    # reduces slowly over a middle axis of length 3)
-    size = np.array([w, h])
-    a, b, c = uv[:, 0], uv[:, 1], uv[:, 2]
-    lo = np.clip(np.floor(np.minimum(np.minimum(a, b), c) - 0.5), 0, size).astype(np.int64)
-    hi = np.clip(np.ceil(np.maximum(np.maximum(a, b), c) - 0.5), -1, size - 1).astype(np.int64)
-    extent = hi - lo + 1
-    (ax, ay), (bx, by), (cx_, cy_) = a.T, b.T, c.T
+    # the pixel centers inside each face's corner range, clipped to the image
+    x0 = np.clip(np.ceil(np.minimum(np.minimum(ax, bx), cx_) - 0.5), 0, w).astype(np.int64)
+    x1 = np.clip(np.floor(np.maximum(np.maximum(ax, bx), cx_) - 0.5), -1, w - 1).astype(np.int64)
+    y0 = np.clip(np.ceil(np.minimum(np.minimum(ay, by), cy_) - 0.5), 0, h).astype(np.int64)
+    y1 = np.clip(np.floor(np.maximum(np.maximum(ay, by), cy_) - 0.5), -1, h - 1).astype(np.int64)
+    box_w = x1 - x0 + 1
+    box_h = y1 - y0 + 1
     denom = (bx - ax) * (cy_ - ay) - (by - ay) * (cx_ - ax)
-    keep = (extent[:, 0] > 0) & (extent[:, 1] > 0) & (denom != 0.0)
+    keep = (box_w > 0) & (box_h > 0) & (denom != 0.0)
 
-    counts = extent[keep, 0] * extent[keep, 1]
+    counts = box_w[keep] * box_h[keep]
     ends = np.cumsum(counts)
     # per-face columns, repeated once per candidate pair of each chunk
-    ints = np.stack([lo[keep, 0], lo[keep, 1], extent[keep, 0], ends - counts])
-    floats = np.stack([ax, ay, bx, by, cx_, cy_, denom, *zs.T])[:, keep]
+    ints = np.stack([x0[keep], y0[keep], box_w[keep], ends - counts])
+    floats = np.stack([ax, ay, bx, by, cx_, cy_, denom, z0, z1, z2])[:, keep]
 
     zbuf = np.full(h * w, np.inf)
     start = 0
@@ -164,25 +166,33 @@ def render_depth(mesh: Mesh, pose: RigidPose, intr: CameraIntrinsics) -> DepthFr
     return DepthFrame(depth.astype(np.float32))
 
 
-def _screen_triangles(mesh: Mesh, pose: RigidPose,
-                      intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel coordinates (D, 3, 2) and camera depths (D, 3) of the corners
-    of the faces that can draw: in front of the near plane and facing the
-    camera."""
-    tris = pose.apply(mesh.vertices)[mesh.faces]  # (F, 3, 3)
-    p0, p1, p2 = tris[:, 0], tris[:, 1], tris[:, 2]
-    zs = tris[:, :, 2]
-    in_front = (p0[:, 2] > _Z_NEAR) & (p1[:, 2] > _Z_NEAR) & (p2[:, 2] > _Z_NEAR)
-    normals = np.cross(p1 - p0, p2 - p0)
-    # the centroid as tris.mean(axis=1) sums it, corner by corner
-    facing = np.einsum("ij,ij->i", normals, (p0 + p1 + p2) / 3.0) < 0.0
-
-    drawable = np.flatnonzero(in_front & facing)
-    zs = zs[drawable]
-    uv = np.empty((len(drawable), 3, 2))
-    uv[:, :, 0] = intr.fx * tris[drawable, :, 0] / zs + intr.cx
-    uv[:, :, 1] = intr.fy * tris[drawable, :, 1] / zs + intr.cy
-    return uv, zs
+def _screen_triangles(mesh: Mesh, pose: RigidPose, intr: CameraIntrinsics) -> tuple:
+    """Corner columns `(ax, ay, bx, by, cx, cy, z0, z1, z2)`, each (D,), of
+    the faces that can draw (in front of the near plane and facing the
+    camera): the pixel coordinates of the three corners, then their camera
+    depths."""
+    x, y, z = pose.apply(mesh.vertices).T
+    near = z > _Z_NEAR
+    # a vertex at or behind the near plane projects to junk, which only
+    # faces that never draw read
+    safe_z = np.where(near, z, 1.0)
+    u = intr.fx * x / safe_z + intr.cx
+    v = intr.fy * y / safe_z + intr.cy
+    i, j, k = mesh.faces.T
+    xi, xj, xk = x[i], x[j], x[k]
+    yi, yj, yk = y[i], y[j], y[k]
+    zi, zj, zk = z[i], z[j], z[k]
+    e1x, e1y, e1z = xj - xi, yj - yi, zj - zi
+    e2x, e2y, e2z = xk - xi, yk - yi, zk - zi
+    # the face normal e1 x e2 against the centroid, rounded as `np.cross`
+    # and `np.einsum` round them (einsum adds a row of three as
+    # (first + third) + second)
+    facing = ((e1y * e2z - e1z * e2y) * ((xi + xj + xk) / 3.0)
+              + (e1x * e2y - e1y * e2x) * ((zi + zj + zk) / 3.0)
+              + (e1z * e2x - e1x * e2z) * ((yi + yj + yk) / 3.0)) < 0.0
+    drawable = np.flatnonzero(near[i] & near[j] & near[k] & facing)
+    i, j, k = i[drawable], j[drawable], k[drawable]
+    return u[i], v[i], u[j], v[j], u[k], v[k], z[i], z[j], z[k]
 
 
 def add_depth_noise(frame: DepthFrame, sigma: float, rng: np.random.Generator) -> DepthFrame:

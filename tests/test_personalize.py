@@ -179,6 +179,40 @@ def test_every_landmark_on_a_vertex_counts():
     np.testing.assert_allclose(fit((0, 1)), fit((1, 0)), rtol=0, atol=1e-10)
 
 
+def _fit_offset_landmark(confidence=None, weight=10.0):
+    """Basis slice of vertex 0 fitted with one landmark on it, off by
+    (4, -3) px with the given confidence; no landmark when None."""
+    model = random_model(np.random.default_rng(10))
+    cam = CameraIntrinsics(fx=400.0, fy=400.0, cx=80.0, cy=60.0,
+                           width=160, height=120)
+    pose = frontal_pose(0.4)
+    examples = []
+    for ex in _spanning_examples(model):
+        if confidence is None:
+            examples.append(ex)
+            continue
+        px = project(cam, pose.apply(ex.scan.vertices)[0]) + [4.0, -3.0]
+        lms = LandmarkSet(("a",), [0], [px], [confidence])
+        examples.append(ExampleExpression(ex.scan, ex.activation,
+                                          landmarks=lms, camera=cam, pose=pose))
+    fitted = personalize(model, examples, PersonalizeConfig(landmark_weight=weight))
+    return fitted.basis[:, 0, :]
+
+
+def test_zero_confidence_landmark_is_ignored():
+    np.testing.assert_allclose(_fit_offset_landmark(0.0), _fit_offset_landmark(None),
+                               rtol=0, atol=1e-10)
+    # the offset landmark does pull the slice at full confidence
+    assert np.abs(_fit_offset_landmark(1.0) - _fit_offset_landmark(None)).max() > 1e-3
+
+
+def test_confidence_scales_the_landmark_weight():
+    for conf, weight in ((0.5, 10.0), (0.25, 3.0)):
+        np.testing.assert_allclose(_fit_offset_landmark(conf, weight),
+                                   _fit_offset_landmark(1.0, conf * weight),
+                                   rtol=0, atol=1e-12)
+
+
 def test_step_behind_the_camera_is_halved_not_fatal():
     # noisy landmarks pull the full Gauss-Newton step of a constrained
     # vertex behind the camera; that candidate must count as a rise

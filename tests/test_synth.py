@@ -106,7 +106,10 @@ def test_nearest_surface_wins_z_buffer(intr):
 def _render_depth_per_face(mesh, pose, intr):
     """Reference rasterizer: one face at a time, each over its own
     bounding-box meshgrid, z-buffered in place (the per-face loop that
-    `render_depth` batches)."""
+    `render_depth` batches). Its box runs from `floor(min - 0.5)` to
+    `ceil(max - 0.5)`, one pixel wider on each side than the pixel centers
+    that `render_depth` tries, so matching it byte for byte is the check
+    that the tight box loses no pixel."""
     h, w = intr.height, intr.width
     zbuf = np.full((h, w), np.inf)
     verts = pose.apply(mesh.vertices)
@@ -186,6 +189,63 @@ def test_render_is_independent_of_pair_chunk(head, intr, monkeypatch):
     for chunk in (1, 7):
         monkeypatch.setattr(synth, "_PAIR_CHUNK", chunk)
         assert [render_depth(*case).values.tobytes() for case in cases] == default
+
+
+# a camera whose pixel coordinates are exact binary fractions at z = 1
+_PIN = CameraIntrinsics(fx=256.0, fy=256.0, cx=32.0, cy=24.0, width=64, height=48)
+
+
+def _pixel_triangle(corners):
+    """One camera-facing triangle at z = 1 whose corners `_PIN` projects
+    exactly to the given (u, v) pixel coordinates."""
+    uv = np.asarray(corners, dtype=float)
+    tri = np.column_stack([(uv[:, 0] - _PIN.cx) / _PIN.fx,
+                           (uv[:, 1] - _PIN.cy) / _PIN.fy, np.ones(3)])
+    if np.cross(tri[1] - tri[0], tri[2] - tri[0]) @ tri.mean(axis=0) > 0:
+        tri = tri[::-1].copy()
+    return Mesh(tri, np.array([[0, 1, 2]]))
+
+
+def _edge_cases():
+    """Named meshes at the edges of a face's box, drawn at the identity
+    pose by `_PIN`."""
+    near = synth._Z_NEAR
+    behind = Mesh(np.array([[-0.05, -0.05, 1.0], [0.05, -0.05, 1.0],
+                            [0.0, 0.05, 1.0], [0.02, 0.03, near / 2],
+                            [-0.03, 0.02, 0.0], [0.01, -0.02, -0.5]]),
+                  np.array([[0, 2, 1], [0, 3, 1], [1, 2, 4], [2, 0, 5], [3, 4, 5]]))
+    return {
+        # the box edges fall on half-integers, so its bounds are pinned
+        "on_centers": _pixel_triangle([[4.5, 4.5], [40.5, 4.5], [4.5, 30.5]]),
+        "sliver": _pixel_triangle([[2.2, 10.3], [60.7, 12.1], [60.7, 12.5]]),
+        "sliver_between_rows": _pixel_triangle([[3.1, 20.6], [50.2, 20.9], [50.9, 20.7]]),
+        "clipped": _pixel_triangle([[-20.3, -7.7], [30.2, 60.9], [70.4, 10.1]]),
+        # corners behind the near plane and at z = 0 draw nothing and
+        # project without a RuntimeWarning
+        "behind_near_plane": behind,
+    }
+
+
+def test_render_edge_cases_match_per_face_reference():
+    cases = _edge_cases()
+    depth = {}
+    for name, mesh in cases.items():
+        depth[name] = render_depth(mesh, RigidPose.identity(), _PIN).values
+        want = _render_depth_per_face(mesh, RigidPose.identity(), _PIN)
+        assert depth[name].tobytes() == want.tobytes(), name
+    # the pixels under the three corners are drawn: both box ends inclusive
+    pinned = depth["on_centers"] > 0
+    assert pinned[4, 4] and pinned[4, 40] and pinned[30, 4]
+    assert not pinned[3, 4] and not pinned[4, 41] and not pinned[31, 4]
+    assert depth["sliver"].any() and not depth["sliver_between_rows"].any()
+    clipped = depth["clipped"] > 0
+    assert clipped[0].any() and clipped[-1].any()
+    assert clipped[:, 0].any() and clipped[:, -1].any()
+    # only the face with every corner in front of the near plane draws
+    alone = Mesh(cases["behind_near_plane"].vertices, np.array([[0, 2, 1]]))
+    assert depth["behind_near_plane"].any()
+    assert render_depth(alone, RigidPose.identity(), _PIN).values.tobytes() \
+        == depth["behind_near_plane"].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ which decomposes into independent n x n systems sharing one activation
 Gram matrix, so a single factorization covers every vertex and axis.
 Optional 2D landmark constraints add Gauss-Newton reprojection rows,
 weighted by each landmark's confidence, for the constrained vertices
-only; those vertices are re-solved as coupled
-3n x 3n systems whose steps `solver.backtrack` halves against the true
-objective, so the result never scores worse than the generic initializer.
+only; those vertices are re-solved as coupled 3n x 3n systems whose
+steps `solver.backtrack` halves against the true objective, so the
+result never scores worse than the generic initializer.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ conventions are pinned down once:
 
 * pixel (i, j) is sampled at its center (i + 0.5, j + 0.5), top-left origin;
 * rasterization is perspective-correct (screen-space barycentrics with
-  1/z interpolation) into a nearest-wins z-buffer, evaluated as one
-  batched edge-function pass over (face, pixel) candidate pairs in
-  chunks of bounded size; the z-buffer minimum does not depend on the
-  order faces are drawn, so the depth map does not depend on the chunking;
+  1/z interpolation) into a nearest-wins z-buffer. Each vertex is
+  projected to the image once; a face's candidates are the pixel centers
+  inside the range of its corners, and all (face, pixel) candidate pairs
+  are evaluated as one batched edge-function pass in chunks of bounded
+  size; the z-buffer minimum does not depend on the order faces are
+  drawn, so the depth map does not depend on the chunking;
 * only camera-facing triangles are drawn (back-face culling), mimicking
   what a depth sensor sees;
 * uncovered pixels keep the invalid marker 0.0;

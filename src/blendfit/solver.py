@@ -42,13 +42,13 @@ x from J^T J's solve. When J^T J is too ill-conditioned to fix the twist
 step goes through `backtrack`, halved until it does not increase the
 objective, so the recorded per-iteration trace is non-increasing. The
 fitter holds one evaluation of its current (pose, x): the objective, the
-mesh vertices in the camera frame and the residual rows on the current
-correspondence set. The correspondence search and the quadratic read
+pose, the mesh vertices in the camera frame and the residual rows on the
+current correspondence set. The correspondence search and the quadratic read
 it. Evaluations compare by their objective, so the held one is the
 bound the step's candidates are scored against, and the evaluation the
 step hands back (the accepted candidate's, or the bound itself when
 every candidate is rejected) is held next; an outer iteration builds
-one mesh per scored candidate and nothing twice. A cold fit starts from
+one pose and one mesh per scored candidate and nothing twice. A cold fit starts from
 `initial_pose_from_depth`, the mesh centroid moved onto the centroid of
 the valid depth pixels.
 
@@ -411,30 +411,31 @@ def backtrack(cur, full, bound: float, evaluate):
 @dataclass(frozen=True, order=True)
 class _Evaluation:
     """The objective at one (pose, x) on a frozen correspondence set,
-    with what it was computed from: the mesh vertices of x through the
-    pose, and the residual rows (idx, grad, r) on the set. Evaluations
-    compare by their objective alone, so one can be the bound that
-    `backtrack` scores candidates against."""
+    with what it was computed from: the pose, the mesh vertices of x
+    through it, and the residual rows (idx, grad, r) on the set.
+    Evaluations compare by their objective alone, so one can be the
+    bound that `backtrack` scores candidates against."""
     f: float
+    pose: RigidPose = field(compare=False)
     verts_cam: np.ndarray = field(compare=False)
     rows: tuple = field(compare=False)
 
 
-def _evaluate(verts_cam, x, corrs: CorrespondenceSet, landmarks,
+def _evaluate(pose: RigidPose, verts_cam, x, corrs: CorrespondenceSet, landmarks,
               intr, cfg: SolverConfig) -> _Evaluation:
-    """Evaluate the joint objective at x for the mesh vertices of x,
-    given as `verts_cam` through the pose."""
+    """Evaluate the joint objective at (pose, x) for the mesh vertices of
+    x, given as `verts_cam` through the pose."""
     rows = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
     r = rows[2]
     f = float(r @ r) + cfg.w_r * float(np.sum(np.abs(x)))
-    return _Evaluation(f, verts_cam, rows)
+    return _Evaluation(f, pose, verts_cam, rows)
 
 
 def _evaluate_at(model: BlendshapeModel, pose: RigidPose, x, corrs,
                  landmarks, intr, cfg: SolverConfig) -> _Evaluation:
     """Build the mesh of x and evaluate the joint objective at (pose, x)."""
     verts = evaluate_mesh(model, x).vertices
-    return _evaluate(pose.apply(verts), x, corrs, landmarks, intr, cfg)
+    return _evaluate(pose, pose.apply(verts), x, corrs, landmarks, intr, cfg)
 
 
 def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
@@ -544,7 +545,7 @@ def _fit(model: BlendshapeModel, frame: DepthFrame, landmarks: LandmarkSet | Non
             if corr_count == 0 and n_land == 0:
                 raise TrackingError("no depth correspondences and no landmarks")
 
-            cur = _evaluate(verts_cam, x, corrs, landmarks, intr, cfg)
+            cur = _evaluate(pose, verts_cam, x, corrs, landmarks, intr, cfg)
             f_ref = cur.f
 
             # one Gauss-Newton step on (twist, x): the quadratic has the
@@ -562,8 +563,8 @@ def _fit(model: BlendshapeModel, frame: DepthFrame, landmarks: LandmarkSet | Non
                 lambda s: _evaluate_at(model, apply_twist(pose, s[:3], s[3:6]), s[6:],
                                        corrs, landmarks, intr, cfg))
             if step is not None:
-                pose, x, cur = apply_twist(pose, step[:3], step[3:6]), step[6:], scored
-            verts_cam = cur.verts_cam
+                x, cur = step[6:], scored
+            pose, verts_cam = cur.pose, cur.verts_cam
 
             if trace and cur.f > trace[-1]:
                 # the refreshed set raised the raw sum and the descent on

@@ -3,6 +3,7 @@
 Renders the neutral head at a known pose, starts the alignment from a
 deliberately wrong guess, and watches the fitter's point-to-plane pose
 step pull it back. The per-iteration objective comes out of the fit.
+Then compares the two cold starts a fit with no guess can take.
 """
 
 import numpy as np
@@ -10,7 +11,13 @@ import numpy as np
 from blendfit import CameraIntrinsics, RigidPose
 from blendfit.geometry import pose_delta, quat_from_rotvec, quat_multiply
 from blendfit.solver import align_rigid, initial_pose_from_depth
-from blendfit.synth import frontal_pose, make_test_head, render_depth
+from blendfit.synth import (
+    default_landmarks,
+    frontal_pose,
+    make_test_head,
+    project_landmarks,
+    render_depth,
+)
 
 head = make_test_head()
 intr = CameraIntrinsics(fx=500.0, fy=500.0, cx=160.0, cy=120.0,
@@ -36,8 +43,16 @@ print("\nobjective per iteration:")
 for i, f in enumerate(fit.objective_trace):
     print(f"  iter {i:2d}: {f:.6g}")
 
-# with no guess at all, the depth centroid gives a workable starting point
-guess = initial_pose_from_depth(head.neutral, frame, intr)
-rotg, transg = pose_delta(guess, true_pose)
-print(f"\ncentroid-only initial guess lands within {transg * 1e2:.1f} cm; "
-      "a cold fit_frame starts there and its joint steps do the rest")
+# with no guess at all, a cold fit_frame starts from the frame itself:
+# from its landmarks (the mesh's landmark vertices aligned in closed form
+# to their pixels lifted by the depth under them) when at least six are
+# usable, else from the depth centroid with no rotation. Shown on a head
+# turned 12 degrees, which its joint steps then align
+turned = RigidPose.from_axis_angle((0.3, 1.0, 0.2), np.deg2rad(12.0), (0.01, -0.01, 0.55))
+turned_frame = render_depth(head.neutral, turned, intr)
+landmarks = project_landmarks(head.neutral, turned, intr, default_landmarks(head))
+print(f"\ncold starts on a head turned 12 deg ({len(landmarks)} landmarks):")
+for name, lms in (("landmark start", landmarks), ("depth centroid", None)):
+    guess = initial_pose_from_depth(head.neutral, turned_frame, intr, lms)
+    rotg, transg = pose_delta(guess, turned)
+    print(f"  {name}: {np.rad2deg(rotg):5.2f} deg, {transg * 1e3:5.2f} mm off")

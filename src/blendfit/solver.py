@@ -43,14 +43,17 @@ step goes through `backtrack`, halved until it does not increase the
 objective, so the recorded per-iteration trace is non-increasing. The
 fitter holds one evaluation of its current (pose, x): the objective, the
 pose, the mesh vertices in the camera frame and the residual rows on the
-current correspondence set. The correspondence search and the quadratic read
-it. Evaluations compare by their objective, so the held one is the
+current correspondence set. The correspondence search and the quadratic
+read it. Evaluations compare by their objective, so the held one is the
 bound the step's candidates are scored against, and the evaluation the
 step hands back (the accepted candidate's, or the bound itself when
 every candidate is rejected) is held next; an outer iteration builds
-one pose and one mesh per scored candidate and nothing twice. A cold fit starts from
-`initial_pose_from_depth`, the mesh centroid moved onto the centroid of
-the valid depth pixels.
+one pose and one mesh per scored candidate and nothing twice. A cold fit
+starts from `initial_pose_from_depth`: the neutral mesh's landmark
+vertices aligned rigidly, in closed form (Horn 1987), to their pixels
+backprojected at the depth under them, when at least six landmarks are
+usable and not collinear; else the mesh centroid moved onto the centroid
+of the valid depth pixels.
 
 Rigid alignment (`align_rigid`) is the same loop on the mesh alone: a
 model whose one shape is all zeros, so the joint step is the
@@ -100,6 +103,7 @@ _OBJECTIVE_REL_TOL = 1e-6       # fit_frame's stall rule
 _MAX_HALVINGS = 4               # backtrack's midpoints toward the start
 _COND_LIMIT = 1e12              # cond(J^T J) above which the twist stays 0
 _MIN_DEPTH_PIXELS = 50          # initial_pose_from_depth's least valid depth
+_MIN_LANDMARKS = 6              # its least usable landmarks for the landmark start
 
 
 class TrackingError(RuntimeError):
@@ -446,26 +450,70 @@ def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
     return _evaluate_at(model, pose, x, corrs, landmarks, intr, cfg).f
 
 
-def initial_pose_from_depth(mesh: Mesh, frame: DepthFrame,
-                            intr: CameraIntrinsics) -> RigidPose:
-    """Coarse pose guess: translate the mesh centroid onto the centroid
-    of the observed depth cloud, identity rotation.
+def initial_pose_from_depth(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
+                            landmarks: LandmarkSet | None = None) -> RigidPose:
+    """Coarse pose guess for a cold fit: the landmark start when the
+    frame's landmarks allow it, else the depth-centroid start.
 
-    Every cold `fit_frame` starts from it, and the fitter's joint steps
-    do the alignment, so it only has to be close enough for roughly
-    frontal captures. Raises TrackingError when the frame has fewer than
-    50 valid depth values.
+    Landmark start: a landmark is usable when its confidence is positive
+    and the pixel (floor(u), floor(v)) under it is inside the image with
+    valid depth; its point is its pixel backprojected at that depth. With
+    at least `_MIN_LANDMARKS` usable landmarks whose mesh vertices are not
+    collinear, the mesh's landmark vertices are aligned rigidly to those
+    points, each weighted by its confidence, in closed form (Horn 1987,
+    "Closed-form solution of absolute orientation using unit
+    quaternions"); the quaternion has w >= 0. Depth-centroid start: the
+    mesh centroid moved onto the centroid of the valid depth pixels,
+    identity rotation. The fitter's joint steps do the rest of the
+    alignment. Raises TrackingError when the frame has fewer than 50
+    valid depth values, ValueError when a landmark names a vertex the
+    mesh does not have.
     """
-    mask = frame.valid_mask()
-    n_valid = int(mask.sum())
-    if n_valid < _MIN_DEPTH_PIXELS:
-        raise TrackingError(f"no start for a cold fit: {n_valid} valid depth "
+    if landmarks is not None:
+        landmarks.check_vertices(mesh.vertex_count)
+    valid = np.flatnonzero(frame.values > 0.0)
+    if len(valid) < _MIN_DEPTH_PIXELS:
+        raise TrackingError(f"no start for a cold fit: {len(valid)} valid depth "
                             f"pixels < required {_MIN_DEPTH_PIXELS}")
-    rows, cols = np.nonzero(mask)
+    if landmarks is not None and len(landmarks):
+        pose = _landmark_pose(mesh, frame, intr, landmarks)
+        if pose is not None:
+            return pose
+    rows, cols = np.divmod(valid, frame.width)
     cloud = backproject(intr, cols + 0.5, rows + 0.5,
                         frame.values[rows, cols].astype(np.float64))
     t = cloud.mean(axis=0) - mesh.vertices.mean(axis=0)
     return RigidPose(np.array([1.0, 0.0, 0.0, 0.0]), t)
+
+
+def _landmark_pose(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
+                   landmarks: LandmarkSet) -> RigidPose | None:
+    """`initial_pose_from_depth`'s landmark start, or None when too few
+    landmarks are usable or their vertices are collinear."""
+    u, v = landmarks.pixels.T
+    ix, iy = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
+    inside = (ix >= 0) & (ix < frame.width) & (iy >= 0) & (iy < frame.height)
+    depth = np.zeros(len(landmarks))
+    depth[inside] = frame.values[iy[inside], ix[inside]]
+    use = np.flatnonzero((landmarks.confidences > 0.0) & (depth > 0.0))
+    if len(use) < _MIN_LANDMARKS:
+        return None
+    P = mesh.vertices[landmarks.vertex_indices[use]]
+    if np.linalg.matrix_rank(P - P[0]) < 2:
+        return None
+    Q = backproject(intr, u[use], v[use], depth[use])
+    w = landmarks.confidences[use] / landmarks.confidences[use].sum()
+    p_bar, q_bar = w @ P, w @ Q
+    (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = (w[:, None] * (P - p_bar)).T @ (Q - q_bar)
+    K = np.array([
+        [sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
+        [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
+        [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
+        [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy],
+    ])
+    q = np.linalg.eigh(K)[1][:, -1]
+    q = -q if q[0] < 0.0 else q
+    return RigidPose(q, q_bar - quat_to_matrix(q) @ p_bar)
 
 
 def fit_frame(model: BlendshapeModel, frame: DepthFrame,
@@ -475,9 +523,10 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     """Estimate pose and coefficients for one frame.
 
     The pose starts from `init_pose` if given, else from `prev` (the
-    previous frame's fit), else from the depth-centroid start of
-    `initial_pose_from_depth` on this frame, which the fitter's own
-    steps then align; a frame with too little depth for that start fails
+    previous frame's fit), else from `initial_pose_from_depth` on this
+    frame and its landmarks (the landmark start, or the depth-centroid
+    start when too few landmarks are usable), which the fitter's own
+    steps then align; a frame with too little depth for a start fails
     with TrackingError. The coefficients start from `prev.x`, else zero.
     Each outer iteration refreshes the depth correspondences, gated at
     2 cm, then takes one Gauss-Newton step on the pose and the
@@ -503,7 +552,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     elif prev is not None:
         pose = prev.pose
     else:
-        pose = initial_pose_from_depth(model.neutral, frame, intr)
+        pose = initial_pose_from_depth(model.neutral, frame, intr, landmarks)
     x = np.zeros(model.n) if prev is None else np.asarray(prev.x, dtype=float).copy()
     return _fit(model, frame, landmarks, intr, pose, x, cfg, _MAX_DISTANCE)
 
@@ -590,7 +639,8 @@ def track_sequence(model: BlendshapeModel, frames, landmarks_per_frame,
 
     `landmarks_per_frame` is a list parallel to `frames` (entries may be
     None). Each frame is fit by `fit_frame` from the last fit that
-    succeeded, or cold when there is none yet. Frames that fail to fit
+    succeeded, or cold, from its own landmarks and depth
+    (`initial_pose_from_depth`), when there is none yet. Frames that fail to fit
     are recorded as gaps and do not stop the tracker; if every frame
     fails, TrackingError is raised with the first frame's reason.
     """

@@ -1,12 +1,13 @@
-"""The shared twist rows and step halving, the depth-centroid start, and
-rigid point-to-plane alignment (`solver.align_rigid`) against rendered
-depth."""
+"""The shared twist rows and step halving, the cold starts (landmark and
+depth centroid), and rigid point-to-plane alignment (`solver.align_rigid`)
+against rendered depth."""
 
 import numpy as np
 import pytest
 
 from blendfit import (
     DepthFrame,
+    LandmarkSet,
     Mesh,
     RigidPose,
     TrackingError,
@@ -14,9 +15,16 @@ from blendfit import (
     pose_delta,
 )
 from blendfit import solver
-from blendfit.geometry import quat_from_axis_angle, quat_from_rotvec, quat_multiply
+from blendfit.geometry import backproject, quat_from_axis_angle, quat_from_rotvec, quat_multiply
 from blendfit.solver import align_rigid, backtrack, initial_pose_from_depth
-from blendfit.synth import add_depth_noise, frontal_pose, render_depth
+from blendfit.synth import (
+    NoiseConfig,
+    add_depth_noise,
+    constant_script,
+    frontal_pose,
+    generate_sequence,
+    render_depth,
+)
 
 from conftest import flat_sheet_model, wall_frame
 
@@ -221,3 +229,127 @@ def test_initial_pose_needs_valid_depth(neutral_mesh, intr):
         initial_pose_from_depth(neutral_mesh, DepthFrame(values.copy()), intr)
     values.flat[49] = 0.5
     initial_pose_from_depth(neutral_mesh, DepthFrame(values), intr)
+
+
+# the poses of test_fit_frame_cold_start_aligns_without_icp
+_COLD_POSES = {
+    "oblique-12deg": RigidPose.from_axis_angle((0.3, 1.0, 0.2), np.deg2rad(12.0),
+                                               (0.01, -0.01, 0.55)),
+    "pitch-15deg": RigidPose.from_axis_angle((1.0, 0.0, 0.0), np.deg2rad(15.0),
+                                             (-0.02, 0.01, 0.45)),
+    "roll-15deg": RigidPose.from_axis_angle((0.0, 0.0, 1.0), np.deg2rad(15.0),
+                                            (0.0, 0.0, 0.7)),
+}
+
+
+def _neutral_capture(head, head_landmark_ids, intr, pose):
+    gen = generate_sequence(head, constant_script(np.zeros(head.n), pose, 1), intr,
+                            head_landmark_ids, NoiseConfig())
+    return gen.frames[0], gen.landmarks[0]
+
+
+def _subset(landmarks, keep):
+    keep = np.asarray(keep)
+    return LandmarkSet(tuple(landmarks.ids[k] for k in keep), landmarks.vertex_indices[keep],
+                       landmarks.pixels[keep], landmarks.confidences[keep])
+
+
+def _plus(landmarks, vertex, pixel, confidence=1.0):
+    """`landmarks` with one more landmark appended."""
+    return LandmarkSet(landmarks.ids + ("extra",),
+                       np.append(landmarks.vertex_indices, vertex),
+                       np.vstack([landmarks.pixels, pixel]),
+                       np.append(landmarks.confidences, confidence))
+
+
+def _assert_same_pose(a, b):
+    np.testing.assert_array_equal(a.rotation, b.rotation)
+    np.testing.assert_array_equal(a.translation, b.translation)
+
+
+@pytest.mark.parametrize("name", list(_COLD_POSES))
+def test_initial_pose_from_landmarks_is_near_the_truth(head, head_landmark_ids, intr, name):
+    # Horn's closed-form alignment of the landmark vertices to their
+    # backprojected pixels; the depth-centroid start keeps the identity
+    # rotation, 12-15 degrees off on these poses
+    truth = _COLD_POSES[name]
+    frame, landmarks = _neutral_capture(head, head_landmark_ids, intr, truth)
+    pose = initial_pose_from_depth(head.neutral, frame, intr, landmarks)
+    rot, trans = pose_delta(pose, truth)
+    assert np.rad2deg(rot) < 2.0 and trans < 2e-3
+    assert pose.rotation[0] >= 0.0
+    rot, _ = pose_delta(initial_pose_from_depth(head.neutral, frame, intr), truth)
+    assert np.rad2deg(rot) > 10.0
+
+
+def test_initial_pose_falls_back_to_the_depth_centroid(head, head_landmark_ids, intr):
+    frame, landmarks = _neutral_capture(head, head_landmark_ids, intr,
+                                        _COLD_POSES["oblique-12deg"])
+    centroid = initial_pose_from_depth(head.neutral, frame, intr)
+    np.testing.assert_array_equal(centroid.rotation, [1.0, 0.0, 0.0, 0.0])
+    _assert_same_pose(initial_pose_from_depth(head.neutral, frame, intr, None), centroid)
+    # five usable landmarks are one too few
+    _assert_same_pose(initial_pose_from_depth(head.neutral, frame, intr,
+                                              _subset(landmarks, range(5))), centroid)
+    # every landmark on one vertex fixes no rotation
+    one = LandmarkSet(landmarks.ids, np.full(len(landmarks), landmarks.vertex_indices[0]),
+                      landmarks.pixels, landmarks.confidences)
+    _assert_same_pose(initial_pose_from_depth(head.neutral, frame, intr, one), centroid)
+    assert not np.array_equal(
+        initial_pose_from_depth(head.neutral, frame, intr, landmarks).rotation,
+        centroid.rotation)
+
+
+def test_initial_pose_depth_centroid_is_unchanged(head, head_landmark_ids, intr):
+    # the depth-centroid start as it was computed before the landmark
+    # start came in, from the 2-D mask's nonzero rows and columns
+    frame, _ = _neutral_capture(head, head_landmark_ids, intr, _COLD_POSES["pitch-15deg"])
+    noisy = add_depth_noise(frame, 0.002, np.random.default_rng(4))
+    for f in (frame, noisy):
+        rows, cols = np.nonzero(f.valid_mask())
+        cloud = backproject(intr, cols + 0.5, rows + 0.5,
+                            f.values[rows, cols].astype(np.float64))
+        t = cloud.mean(axis=0) - head.neutral.vertices.mean(axis=0)
+        pose = initial_pose_from_depth(head.neutral, f, intr)
+        np.testing.assert_array_equal(pose.rotation, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(pose.translation, t)
+
+
+def test_unusable_landmarks_leave_the_start_unchanged(head, head_landmark_ids, intr):
+    frame, landmarks = _neutral_capture(head, head_landmark_ids, intr,
+                                        _COLD_POSES["roll-15deg"])
+    start = initial_pose_from_depth(head.neutral, frame, intr, landmarks)
+    # a wild pixel: the farthest pixel over valid depth of another
+    # landmark, for the vertex of landmark 0
+    ix, iy = np.floor(landmarks.pixels).astype(np.int64).T
+    dist = np.linalg.norm(landmarks.pixels - landmarks.pixels[0], axis=1)
+    wild = landmarks.pixels[np.argmax(np.where(frame.values[iy, ix] > 0.0, dist, 0.0))]
+    vertex = landmarks.vertex_indices[0]
+    invalid = np.argwhere(frame.values == 0.0)[0][::-1] + 0.5      # (u, v) of a blank pixel
+    for extra in (_plus(landmarks, vertex, wild, confidence=0.0),
+                  _plus(landmarks, vertex, invalid)):
+        _assert_same_pose(initial_pose_from_depth(head.neutral, frame, intr, extra), start)
+    # off the image, even with valid depth all along its border
+    walled = DepthFrame(np.where(frame.values > 0.0, frame.values, 1.0))
+    walled_start = initial_pose_from_depth(head.neutral, walled, intr, landmarks)
+    for extra in (_plus(landmarks, vertex, [-3.0, wild[1]]),
+                  _plus(landmarks, vertex, [wild[0], intr.height + 2.0])):
+        _assert_same_pose(initial_pose_from_depth(head.neutral, walled, intr, extra),
+                          walled_start)
+    # the same wild landmark, usable, moves the start, by as little as its
+    # confidence weighs against the others'
+    moved = initial_pose_from_depth(head.neutral, frame, intr, _plus(landmarks, vertex, wild))
+    rot, trans = pose_delta(moved, start)
+    assert np.rad2deg(rot) > 0.5 or trans > 1e-3
+    slight = initial_pose_from_depth(head.neutral, frame, intr,
+                                     _plus(landmarks, vertex, wild, confidence=1e-6))
+    rot, trans = pose_delta(slight, start)
+    assert np.rad2deg(rot) < 1e-4 and trans < 1e-7
+
+
+def test_initial_pose_rejects_a_landmark_vertex_out_of_range(head, head_landmark_ids, intr):
+    frame, landmarks = _neutral_capture(head, head_landmark_ids, intr,
+                                        _COLD_POSES["roll-15deg"])
+    bad = _plus(landmarks, head.vertex_count, landmarks.pixels[0])
+    with pytest.raises(ValueError, match="out of range"):
+        initial_pose_from_depth(head.neutral, frame, intr, bad)

@@ -1,6 +1,7 @@
 """Quadratic assembly, the L1/box coordinate solver, and frame fitting."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,12 +27,14 @@ from blendfit import (
     track_sequence,
 )
 from blendfit import solver
-from blendfit.geometry import apply_twist, project, quat_to_matrix
+from blendfit.geometry import apply_twist, project, quat_from_rotvec, quat_to_matrix
 from blendfit.solver import _COND_LIMIT, _MAX_DISTANCE, _residual_rows, twist_rows
 from blendfit.synth import (
     NoiseConfig,
+    ScriptFrame,
     constant_script,
     frontal_pose,
+    generate_frame,
     generate_sequence,
 )
 
@@ -862,8 +865,8 @@ def test_fit_frame_neutral_cold_start(head, head_landmark_ids, intr):
 ], ids=["oblique-12deg", "pitch-15deg", "roll-15deg"])
 def test_fit_frame_cold_start_aligns_without_icp(head, head_landmark_ids, intr,
                                                  monkeypatch, pose):
-    # a cold fit starts from the depth centroid and its own pose steps
-    # align the head; align_rigid is never called
+    # a cold fit starts from its landmarks and its own pose steps align
+    # the head; align_rigid is never called
     def no_icp(*args, **kwargs):
         raise AssertionError("fit_frame called align_rigid")
 
@@ -876,6 +879,58 @@ def test_fit_frame_cold_start_aligns_without_icp(head, head_landmark_ids, intr,
     assert np.rad2deg(rot) < 0.5
     assert trans < 0.5e-3
     assert np.abs(fit.x - x_true).max() < 0.1
+
+
+def _noisy_cold_frames(head, head_landmark_ids, intr):
+    """Eight cold frames built as the benchmark's noisy cold fits are:
+    yaw and pitch within 15 degrees at 0.4-0.7 m, a few active shapes,
+    2 mm depth noise, 1 px landmark noise and 15% landmark dropout; the
+    last frame has a blank band over a fifth of the face's rows."""
+    rng = np.random.default_rng(11)
+    noise = NoiseConfig(depth_sigma=0.002, landmark_sigma=1.0, landmark_dropout=0.15)
+    frames = []
+    for i in range(8):
+        pitch, yaw = rng.uniform(-15.0, 15.0, 2)
+        truth = RigidPose(quat_from_rotvec(np.deg2rad([pitch, yaw, rng.uniform(-5.0, 5.0)])),
+                          [*rng.uniform(-0.01, 0.01, 2), rng.uniform(0.4, 0.7)])
+        x_true = sparse_coefficients(head.n, rng, active=4)
+        frame, landmarks = generate_frame(head, ScriptFrame(x_true, truth, 0.0), intr,
+                                          head_landmark_ids, replace(noise, seed=i), i)
+        if i == 7:
+            rows = np.flatnonzero(frame.valid_mask().any(axis=1))
+            top, height = rows[0] + (rows[-1] - rows[0]) // 2, (rows[-1] - rows[0]) // 5
+            values = np.array(frame.values)
+            values[top:top + height] = 0.0
+            frame = DepthFrame(values)
+        frames.append((frame, landmarks, truth))
+    return frames
+
+
+def test_fit_frame_landmark_start_saves_searches(head, head_landmark_ids, intr,
+                                                 monkeypatch):
+    # a cold fit starts from the landmark start; started from the depth
+    # centroid instead, the same fits spend about two more searches
+    # turning the head into place, and end no closer to the truth
+    searches = []
+    real = solver.find_correspondences
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "find_correspondences", counted)
+    calls, worst = Counter(), Counter()
+    for frame, landmarks, truth in _noisy_cold_frames(head, head_landmark_ids, intr):
+        for start in ("landmarks", "centroid"):
+            init = (None if start == "landmarks" else
+                    solver.initial_pose_from_depth(head.neutral, frame, intr))
+            before = len(searches)
+            fit = fit_frame(head, frame, landmarks, intr, init_pose=init)
+            calls[start] += len(searches) - before
+            rot, _ = pose_delta(fit.pose, truth)
+            worst[start] = max(worst[start], np.rad2deg(rot))
+    assert worst["landmarks"] <= worst["centroid"]
+    assert (calls["landmarks"], calls["centroid"]) == (28, 41)
 
 
 def test_fit_frame_landmarks_only(scene, head, intr):

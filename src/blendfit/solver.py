@@ -504,7 +504,8 @@ def _landmark_pose(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
     Q = backproject(intr, u[use], v[use], depth[use])
     w = landmarks.confidences[use] / landmarks.confidences[use].sum()
     p_bar, q_bar = w @ P, w @ Q
-    (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = (w[:, None] * (P - p_bar)).T @ (Q - q_bar)
+    S = (w[:, None] * (P - p_bar)).T @ (Q - q_bar)
+    (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = S
     K = np.array([
         [sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
         [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
@@ -640,9 +641,10 @@ def track_sequence(model: BlendshapeModel, frames, landmarks_per_frame,
     `landmarks_per_frame` is a list parallel to `frames` (entries may be
     None). Each frame is fit by `fit_frame` from the last fit that
     succeeded, or cold, from its own landmarks and depth
-    (`initial_pose_from_depth`), when there is none yet. Frames that fail to fit
-    are recorded as gaps and do not stop the tracker; if every frame
-    fails, TrackingError is raised with the first frame's reason.
+    (`initial_pose_from_depth`), when there is none yet. Frames that
+    fail to fit are recorded as gaps and do not stop the tracker; if
+    every frame fails, TrackingError is raised with the first frame's
+    reason.
     """
     cfg = cfg or SolverConfig()
     frames = list(frames)

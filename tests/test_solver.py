@@ -909,7 +909,7 @@ def _noisy_cold_frames(head, head_landmark_ids, intr):
 def test_fit_frame_landmark_start_saves_searches(head, head_landmark_ids, intr,
                                                  monkeypatch):
     # a cold fit starts from the landmark start; started from the depth
-    # centroid instead, the same fits spend about two more searches
+    # centroid instead, the same fits spend 1.6 more searches each
     # turning the head into place, and end no closer to the truth
     searches = []
     real = solver.find_correspondences

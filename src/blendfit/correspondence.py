@@ -94,6 +94,17 @@ class CorrespondenceSet:
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "normals", _readonly(nrm))
 
+    @classmethod
+    def _of_arrays(cls, idx, pts, nrm) -> "CorrespondenceSet":
+        """The set of arrays the caller made itself, of the right dtypes,
+        shapes and lengths: (M,) int64 and two C-contiguous (M, 3)
+        float64; they are marked read-only in place, unchecked."""
+        c = object.__new__(cls)
+        for name, a in (("vertex_indices", idx), ("points", pts), ("normals", nrm)):
+            a.flags.writeable = False
+            object.__setattr__(c, name, a)
+        return c
+
     def __len__(self) -> int:
         return len(self.vertex_indices)
 
@@ -150,19 +161,17 @@ def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics
     samples = depth.ravel()[at + np.array([0, win, -win, w * win, -w * win])[:, None]]
     live = np.flatnonzero((samples > 0).all(axis=0))
     idx, ix, iy = idx[live], ix[live], iy[live]
-    d0, dxp, dxm, dyp, dym = samples[:, live].astype(np.float64)
+    d = samples[:, live].astype(np.float64)
 
-    # backprojected pixel centers: the anchor, and the u- and v-tangents
+    # the five samples backprojected at their pixel centers, as one
+    # (5, k) block per coordinate: the anchor, and the u- and v-tangents
     # between the neighbours either side of it
-    gx = ix + 0.5 - cx
-    gy = iy + 0.5 - cy
-    ax, ay, az = gx * d0 / fx, gy * d0 / fy, d0
-    tux = ((ix + win) + 0.5 - cx) * dxp / fx - ((ix - win) + 0.5 - cx) * dxm / fx
-    tuy = gy * dxp / fy - gy * dxm / fy
-    tuz = dxp - dxm
-    tvx = gx * dyp / fx - gx * dym / fx
-    tvy = ((iy + win) + 0.5 - cy) * dyp / fy - ((iy - win) + 0.5 - cy) * dym / fy
-    tvz = dyp - dym
+    px = (ix + np.array([0, win, -win, 0, 0])[:, None]) + 0.5 - cx
+    py = (iy + np.array([0, 0, 0, win, -win])[:, None]) + 0.5 - cy
+    bx, by = px * d / fx, py * d / fy
+    ax, ay, az = bx[0], by[0], d[0]
+    tux, tuy, tuz = bx[1] - bx[2], by[1] - by[2], d[1] - d[2]
+    tvx, tvy, tvz = bx[3] - bx[4], by[3] - by[4], d[3] - d[4]
     nx = tuy * tvz - tuz * tvy
     ny = tuz * tvx - tux * tvz
     nz = tux * tvy - tuy * tvx
@@ -202,8 +211,8 @@ def find_correspondences(vertices_cam, frame: DepthFrame, intr: CameraIntrinsics
     keep &= cos_inc >= np.cos(np.deg2rad(_MAX_NORMAL_ANGLE))
 
     sel = np.flatnonzero(keep)
-    return CorrespondenceSet(idx[sel], np.column_stack((tx, ty, tz))[sel],
-                             np.column_stack((nx, ny, nz))[sel])
+    return CorrespondenceSet._of_arrays(idx[sel], np.column_stack((tx[sel], ty[sel], tz[sel])),
+                                        np.column_stack((nx[sel], ny[sel], nz[sel])))
 
 
 def landmark_jacobian(v_cam, intr: CameraIntrinsics) -> np.ndarray:

@@ -140,6 +140,19 @@ class Mesh:
         object.__setattr__(self, "vertices", _readonly(v))
         object.__setattr__(self, "faces", _readonly(f))
 
+    @classmethod
+    def _of_checked(cls, vertices: np.ndarray, faces: np.ndarray) -> "Mesh":
+        """A mesh on the faces of an existing mesh, with new vertices: a
+        C-contiguous (V, 3) float64 array, for as many vertices as that
+        mesh has. The faces were checked when that mesh was built, so
+        the constructor's checks are skipped; the vertices are marked
+        read-only in place."""
+        vertices.flags.writeable = False
+        m = object.__new__(cls)
+        object.__setattr__(m, "vertices", vertices)
+        object.__setattr__(m, "faces", faces)
+        return m
+
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -356,13 +369,20 @@ class BscSequence:
 
 def evaluate_mesh(model: BlendshapeModel, x) -> Mesh:
     """Generate the expression mesh: neutral vertices plus the weighted sum
-    of basis displacement columns. Faces are shared with the neutral mesh."""
+    of basis displacement columns. Faces are shared with the neutral mesh.
+
+    Only the shapes with a nonzero coefficient are summed, since a fit
+    activates a few of them: x = 0 gives the neutral vertices, one
+    nonzero x_k gives b0 + x_k B_k exactly, and otherwise the sum
+    differs from the dense one by rounding alone."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.n,):
         raise DimensionMismatchError(
             f"coefficient vector shape {x.shape} does not match model n={model.n}")
-    vertices = model.neutral.vertices + np.tensordot(x, model.basis, axes=1)
-    return Mesh(vertices, model.neutral.faces)
+    nz = np.flatnonzero(x)
+    vertices = (x[nz] @ model.basis.reshape(model.n, 3 * model.vertex_count)[nz]).reshape(-1, 3)
+    vertices += model.neutral.vertices
+    return Mesh._of_checked(vertices, model.neutral.faces)
 
 
 def project(intr: CameraIntrinsics, p_cam) -> np.ndarray:

@@ -48,7 +48,12 @@ read it. Evaluations compare by their objective, so the held one is the
 bound the step's candidates are scored against, and the evaluation the
 step hands back (the accepted candidate's, or the bound itself when
 every candidate is rejected) is held next; an outer iteration builds
-one pose and one mesh per scored candidate and nothing twice. A cold fit
+one pose and one mesh per scored candidate and nothing twice. Each mesh
+sums only the shapes whose coefficient is nonzero (`evaluate_mesh`), and
+a candidate is scored from its residuals alone: the gradient rows, the
+landmark Jacobian among them, are built only for the evaluation the
+quadratic is assembled from, by the same residual function, so a score
+is bit for bit the value `evaluate_objective` gives. A cold fit
 starts from `initial_pose_from_depth`: the neutral mesh's landmark
 vertices aligned rigidly, in closed form (Horn 1987), to their pixels
 backprojected at the depth under them, when at least six landmarks are
@@ -204,7 +209,8 @@ class TrackResult:
 
 def _residual_rows(verts_cam, corrs: CorrespondenceSet,
                    landmarks: LandmarkSet | None,
-                   intr: CameraIntrinsics | None, cfg: SolverConfig):
+                   intr: CameraIntrinsics | None, cfg: SolverConfig,
+                   gradients: bool = True):
     """The smooth part of the objective as weighted residual rows.
 
     Returns (idx (m,), grad (m, 3), r (m,)): row i is a function of the
@@ -212,20 +218,31 @@ def _residual_rows(verts_cam, corrs: CorrespondenceSet,
     there, and r . r is the weighted depth plus landmark sum. One row per
     depth match, sqrt(w_d) n . (v - p); two per landmark (u and v),
     sqrt(w_l conf) (proj(v) - u) with the projection Jacobian rows.
+    Without `gradients`, idx and grad are None and r is the same, bit
+    for bit. Each part is written into its slice of one array per output.
     """
+    k = len(corrs)
+    n_land = 0 if landmarks is None else len(landmarks)
+    if n_land and intr is None:
+        raise ValueError("landmark terms require camera intrinsics")
+    m = k + 2 * n_land
+    idx = grad = None
+    r = np.empty(m)
     sw = np.sqrt(cfg.w_d)
-    idx = [corrs.vertex_indices]
-    grad = [sw * corrs.normals]
-    res = [sw * corrs.residuals(verts_cam)]
-    if landmarks is not None and len(landmarks) > 0:
-        if intr is None:
-            raise ValueError("landmark terms require camera intrinsics")
+    np.multiply(sw, corrs.residuals(verts_cam), out=r[:k])
+    if gradients:
+        idx, grad = np.empty(m, dtype=np.int64), np.empty((m, 3))
+        idx[:k] = corrs.vertex_indices
+        np.multiply(sw, corrs.normals, out=grad[:k])
+    if n_land:
         v = verts_cam[landmarks.vertex_indices]
         sw = np.sqrt(cfg.w_l * landmarks.confidences)[:, None]     # (L, 1)
-        idx.append(np.repeat(landmarks.vertex_indices, 2))
-        grad.append((sw[:, :, None] * landmark_jacobian(v, intr)).reshape(-1, 3))
-        res.append((sw * (project(intr, v) - landmarks.pixels)).reshape(-1))
-    return np.concatenate(idx), np.concatenate(grad), np.concatenate(res)
+        if gradients:
+            idx[k:].reshape(-1, 2)[:] = landmarks.vertex_indices[:, None]
+            np.multiply(sw[:, :, None], landmark_jacobian(v, intr),
+                        out=grad[k:].reshape(-1, 2, 3))
+        np.multiply(sw, project(intr, v) - landmarks.pixels, out=r[k:].reshape(-1, 2))
+    return idx, grad, r
 
 
 def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
@@ -250,7 +267,9 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
     read from N, and T, t0 are zeros. Row i of a
     is the rotated gradient (1, 3) times the (3, n) block of the
     vertex-major basis at the row's vertex, every shape's delta there,
-    all rows in one batched matmul.
+    all rows in one batched matmul. J, a and h are written into one
+    C-ordered (m, 6 + n + 1) buffer, (m, n + 1) without J, and N is the
+    Gram matrix of that buffer.
     Raises NoDataError when there are neither correspondences nor
     landmarks.
     """
@@ -268,14 +287,17 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
     if rows is None:
         rows = _evaluate_at(model, pose, x_lin, corrs, landmarks, intr, cfg).rows
     idx, grad, r = rows
+    k = 0 if eliminate is None else 6
+    M = np.empty((len(idx), k + n + 1))
+    if eliminate is not None:
+        M[:, :k] = eliminate
+    a = M[:, k:k + n]
     # n . (R b) = (R^T n) . b: rotate the m gradients, not the basis
-    a = ((grad @ rot)[:, None, :] @ model._vertex_basis[idx])[:, 0]     # (m, n)
-    h = r - a @ x_lin
+    np.matmul((grad @ rot)[:, None, :], model._vertex_basis[idx], out=a[:, None, :])
+    np.subtract(r, a @ x_lin, out=M[:, k + n])
+    N = M.T @ M                                          # (k + n + 1, k + n + 1)
     if eliminate is None:
-        M = np.column_stack([a, h])
-        return QuadraticForm._of_gram(M.T @ M)
-    M = np.column_stack([eliminate, a, h])
-    N = M.T @ M                                          # (n + 7, n + 7)
+        return QuadraticForm._of_gram(N)
     if len(idx) < 6 or np.linalg.cond(N[:6, :6]) > _COND_LIMIT:
         return QuadraticForm._of_gram(N[6:, 6:]), np.zeros((6, n)), np.zeros(6)
     # the twist minimizing ||J t + a x + h|| is -X (x, 1); what is left
@@ -393,8 +415,15 @@ def solve_l1_box(q: QuadraticForm, w_r: float, x0=None, sweeps: int = 50,
 def twist_rows(points, grads) -> np.ndarray:
     """(M, 6) Jacobian [p x g, g] for a left twist (omega, tau) of M
     residuals, residual i depending only on camera-frame point points[i]
-    with gradient grads[i] (M, 3) there."""
-    return np.concatenate([np.cross(points, grads), grads], axis=1)
+    with gradient grads[i] (M, 3) there. The cross product is written
+    column by column, each as np.cross rounds it."""
+    (px, py, pz), (gx, gy, gz) = points.T, grads.T
+    J = np.empty((len(grads), 6))
+    np.subtract(py * gz, pz * gy, out=J[:, 0])
+    np.subtract(pz * gx, px * gz, out=J[:, 1])
+    np.subtract(px * gy, py * gx, out=J[:, 2])
+    J[:, 3:] = grads
+    return J
 
 
 def backtrack(cur, full, bound: float, evaluate):
@@ -416,30 +445,32 @@ def backtrack(cur, full, bound: float, evaluate):
 class _Evaluation:
     """The objective at one (pose, x) on a frozen correspondence set,
     with what it was computed from: the pose, the mesh vertices of x
-    through it, and the residual rows (idx, grad, r) on the set.
-    Evaluations compare by their objective alone, so one can be the
-    bound that `backtrack` scores candidates against."""
+    through it, and the residual rows (idx, grad, r) on the set, or
+    None when only the value was asked for. Evaluations compare by their
+    objective alone, so one can be the bound that `backtrack` scores
+    candidates against."""
     f: float
     pose: RigidPose = field(compare=False)
     verts_cam: np.ndarray = field(compare=False)
-    rows: tuple = field(compare=False)
+    rows: tuple | None = field(compare=False)
 
 
 def _evaluate(pose: RigidPose, verts_cam, x, corrs: CorrespondenceSet, landmarks,
-              intr, cfg: SolverConfig) -> _Evaluation:
+              intr, cfg: SolverConfig, gradients: bool = True) -> _Evaluation:
     """Evaluate the joint objective at (pose, x) for the mesh vertices of
-    x, given as `verts_cam` through the pose."""
-    rows = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
-    r = rows[2]
+    x, given as `verts_cam` through the pose. Without `gradients` the
+    residual rows are not kept, and the value is the same, bit for bit."""
+    idx, grad, r = _residual_rows(verts_cam, corrs, landmarks, intr, cfg, gradients)
     f = float(r @ r) + cfg.w_r * float(np.sum(np.abs(x)))
-    return _Evaluation(f, pose, verts_cam, rows)
+    return _Evaluation(f, pose, verts_cam, (idx, grad, r) if gradients else None)
 
 
 def _evaluate_at(model: BlendshapeModel, pose: RigidPose, x, corrs,
-                 landmarks, intr, cfg: SolverConfig) -> _Evaluation:
+                 landmarks, intr, cfg: SolverConfig,
+                 gradients: bool = True) -> _Evaluation:
     """Build the mesh of x and evaluate the joint objective at (pose, x)."""
     verts = evaluate_mesh(model, x).vertices
-    return _evaluate(pose, pose.apply(verts), x, corrs, landmarks, intr, cfg)
+    return _evaluate(pose, pose.apply(verts), x, corrs, landmarks, intr, cfg, gradients)
 
 
 def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
@@ -447,7 +478,7 @@ def evaluate_objective(model: BlendshapeModel, pose: RigidPose, x,
                        intr: CameraIntrinsics | None, cfg: SolverConfig) -> float:
     """Exact (non-linearized) objective value at (pose, x)."""
     x = np.asarray(x, dtype=float)
-    return _evaluate_at(model, pose, x, corrs, landmarks, intr, cfg).f
+    return _evaluate_at(model, pose, x, corrs, landmarks, intr, cfg, gradients=False).f
 
 
 def initial_pose_from_depth(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsics,
@@ -471,15 +502,15 @@ def initial_pose_from_depth(mesh: Mesh, frame: DepthFrame, intr: CameraIntrinsic
     """
     if landmarks is not None:
         landmarks.check_vertices(mesh.vertex_count)
-    valid = np.flatnonzero(frame.values > 0.0)
-    if len(valid) < _MIN_DEPTH_PIXELS:
-        raise TrackingError(f"no start for a cold fit: {len(valid)} valid depth "
+    n_valid = np.count_nonzero(frame.values > 0.0)
+    if n_valid < _MIN_DEPTH_PIXELS:
+        raise TrackingError(f"no start for a cold fit: {n_valid} valid depth "
                             f"pixels < required {_MIN_DEPTH_PIXELS}")
     if landmarks is not None and len(landmarks):
         pose = _landmark_pose(mesh, frame, intr, landmarks)
         if pose is not None:
             return pose
-    rows, cols = np.divmod(valid, frame.width)
+    rows, cols = np.divmod(np.flatnonzero(frame.values > 0.0), frame.width)
     cloud = backproject(intr, cols + 0.5, rows + 0.5,
                         frame.values[rows, cols].astype(np.float64))
     t = cloud.mean(axis=0) - mesh.vertices.mean(axis=0)
@@ -611,7 +642,7 @@ def _fit(model: BlendshapeModel, frame: DepthFrame, landmarks: LandmarkSet | Non
                 np.concatenate([np.zeros(6), x]),
                 np.concatenate([T @ x_new + t0, x_new]), cur,
                 lambda s: _evaluate_at(model, apply_twist(pose, s[:3], s[3:6]), s[6:],
-                                       corrs, landmarks, intr, cfg))
+                                       corrs, landmarks, intr, cfg, gradients=False))
             if step is not None:
                 x, cur = step[6:], scored
             pose, verts_cam = cur.pose, cur.verts_cam

@@ -37,7 +37,7 @@ from blendfit.geometry import (
     quat_to_matrix,
 )
 
-from conftest import random_model
+from conftest import localized_model, random_model
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +70,49 @@ def test_evaluate_mesh_is_affine():
         parts = 0.5 * evaluate_mesh(model, x1).vertices \
             + 0.5 * evaluate_mesh(model, x2).vertices
         np.testing.assert_allclose(mixed, parts, atol=1e-9)
+
+
+def _mesh_models(head):
+    rng = np.random.default_rng(5)
+    return [head, random_model(rng, side=4, n=6), localized_model(rng)]
+
+
+def test_evaluate_mesh_active_shapes_match_the_dense_sum(head):
+    # only the nonzero coefficients' shapes are summed, which changes the
+    # order of the sum and so its rounding alone
+    rng = np.random.default_rng(6)
+    for model in _mesh_models(head):
+        for _ in range(5):
+            for x in (rng.uniform(0, 1, model.n),
+                      rng.uniform(0, 1, model.n) * (rng.uniform(size=model.n) < 0.15)):
+                dense = model.neutral.vertices + np.tensordot(x, model.basis, axes=1)
+                assert np.abs(evaluate_mesh(model, x).vertices - dense).max() <= 1e-15
+
+
+def test_evaluate_mesh_exact_at_zero_and_one_shape(head):
+    rng = np.random.default_rng(7)
+    for model in _mesh_models(head):
+        x = np.zeros(model.n)
+        np.testing.assert_array_equal(evaluate_mesh(model, x).vertices,
+                                      model.neutral.vertices)
+        for k in rng.choice(model.n, size=min(model.n, 4), replace=False):
+            x = np.zeros(model.n)
+            x[k] = rng.uniform(0.05, 1.0)
+            np.testing.assert_array_equal(
+                evaluate_mesh(model, x).vertices,
+                model.neutral.vertices + np.tensordot(x, model.basis, axes=1))
+
+
+def test_evaluate_mesh_shares_faces_and_is_read_only(head):
+    x = np.zeros(head.n)
+    x[[3, 17]] = 0.4
+    mesh = evaluate_mesh(head, x)
+    assert mesh.faces is head.neutral.faces
+    assert mesh.vertices.shape == (head.vertex_count, 3)
+    assert mesh.vertices.dtype == np.float64 and mesh.vertices.flags.c_contiguous
+    assert not mesh.vertices.flags.writeable
+    with pytest.raises(ValueError):
+        mesh.vertices[0, 0] = 1.0
 
 
 def test_evaluate_mesh_rejects_wrong_length():

@@ -233,6 +233,94 @@ def test_head_matches_reference(head):
             assert len(found) > 100
 
 
+def _find_correspondences_split(vertices_cam, frame, intr, max_distance):
+    """find_correspondences with its column-wise tail as it was written:
+    each backprojected coordinate of the five samples on its own, and the
+    set built through the checking constructor."""
+    from blendfit.correspondence import _DEPTH_WINDOW, _MAX_NORMAL_ANGLE
+
+    verts = np.asarray(vertices_cam, dtype=np.float64).reshape(-1, 3)
+    fx, fy, cx, cy = intr.fx, intr.fy, intr.cx, intr.cy
+    depth = frame.values
+    h, w = depth.shape
+    win = _DEPTH_WINDOW
+
+    vx, vy, vz = verts.T
+    front = vz > 0.0
+    z = np.where(front, vz, 1.0)
+    u = fx * vx / z + cx
+    v = fy * vy / z + cy
+    ix = np.floor(u).astype(np.int64)
+    iy = np.floor(v).astype(np.int64)
+    idx = np.flatnonzero(front & (ix >= win) & (ix < w - win) & (iy >= win) & (iy < h - win))
+    ix, iy = ix[idx], iy[idx]
+    at = iy * w + ix
+    samples = depth.ravel()[at + np.array([0, win, -win, w * win, -w * win])[:, None]]
+    live = np.flatnonzero((samples > 0).all(axis=0))
+    idx, ix, iy = idx[live], ix[live], iy[live]
+    d0, dxp, dxm, dyp, dym = samples[:, live].astype(np.float64)
+
+    gx = ix + 0.5 - cx
+    gy = iy + 0.5 - cy
+    ax, ay, az = gx * d0 / fx, gy * d0 / fy, d0
+    tux = ((ix + win) + 0.5 - cx) * dxp / fx - ((ix - win) + 0.5 - cx) * dxm / fx
+    tuy = gy * dxp / fy - gy * dxm / fy
+    tuz = dxp - dxm
+    tvx = gx * dyp / fx - gx * dym / fx
+    tvy = ((iy + win) + 0.5 - cy) * dyp / fy - ((iy - win) + 0.5 - cy) * dym / fy
+    tvz = dyp - dym
+    nx = tuy * tvz - tuz * tvy
+    ny = tuz * tvx - tux * tvz
+    nz = tux * tvy - tuy * tvx
+    nlen = np.sqrt(nx * nx + ny * ny + nz * nz)
+    keep = nlen > 0
+    nlen = np.where(keep, nlen, 1.0)
+    nx, ny, nz = nx / nlen, ny / nlen, nz / nlen
+
+    n_dot_anchor = nx * ax + ny * ay + nz * az
+    sign = np.where(n_dot_anchor > 0, -1.0, 1.0)
+    nx, ny, nz = sign * nx, sign * ny, sign * nz
+    n_dot_anchor = -np.abs(n_dot_anchor)
+
+    rx = (u[idx] - cx) / fx
+    ry = (v[idx] - cy) / fy
+    n_dot_ray = nx * rx + ny * ry + nz
+    grazing = np.abs(n_dot_ray) < 1e-6
+    t = n_dot_anchor / np.where(grazing, 1.0, n_dot_ray)
+    cast = ~grazing & (t > 0.0)
+    tx = np.where(cast, t * rx, ax)
+    ty = np.where(cast, t * ry, ay)
+    tz = np.where(cast, t, az)
+
+    dx, dy, dz = vx[idx] - tx, vy[idx] - ty, vz[idx] - tz
+    keep &= np.sqrt(dx * dx + dy * dy + dz * dz) <= max_distance
+    tlen = np.sqrt(tx * tx + ty * ty + tz * tz)
+    keep &= tlen > 0
+    tlen = np.where(tlen > 0, tlen, 1.0)
+    cos_inc = nx * (-tx / tlen) + ny * (-ty / tlen) + nz * (-tz / tlen)
+    keep &= cos_inc >= np.cos(np.deg2rad(_MAX_NORMAL_ANGLE))
+
+    sel = np.flatnonzero(keep)
+    return CorrespondenceSet(idx[sel], np.column_stack((tx, ty, tz))[sel],
+                             np.column_stack((nx, ny, nz))[sel])
+
+
+def test_head_matches_the_split_tail_bit_for_bit(head):
+    # noisy frames with an occluded band of rows: the five samples
+    # backprojected as one block, and the set built from the search's own
+    # arrays, give the same set byte for byte
+    for intr, verts, frame in _noisy_head_frames(head):
+        for max_distance in (0.02, 0.005, WIDE):
+            got = find_correspondences(verts, frame, intr, max_distance)
+            ref = _find_correspondences_split(verts, frame, intr, max_distance)
+            assert len(got) > 100
+            for name in ("vertex_indices", "points", "normals"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+                assert a.flags.c_contiguous and not a.flags.writeable
+
+
 def _vertex_at(intr, u, v, z):
     """The camera-frame point at depth z that projects to pixel (u, v)."""
     return ((u - intr.cx) * z / intr.fx, (v - intr.cy) * z / intr.fy, z)

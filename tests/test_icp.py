@@ -315,6 +315,37 @@ def test_initial_pose_depth_centroid_is_unchanged(head, head_landmark_ids, intr)
         np.testing.assert_array_equal(pose.translation, t)
 
 
+def _initial_pose_listing_first(mesh, frame, intr, landmarks=None):
+    """initial_pose_from_depth as it was written: the valid pixels listed
+    up front, their count read off the list."""
+    if landmarks is not None:
+        landmarks.check_vertices(mesh.vertex_count)
+    valid = np.flatnonzero(frame.values > 0.0)
+    if len(valid) < 50:
+        raise TrackingError("too few valid depth pixels")
+    if landmarks is not None and len(landmarks):
+        pose = solver._landmark_pose(mesh, frame, intr, landmarks)
+        if pose is not None:
+            return pose
+    rows, cols = np.divmod(valid, frame.width)
+    cloud = backproject(intr, cols + 0.5, rows + 0.5,
+                        frame.values[rows, cols].astype(np.float64))
+    return RigidPose(np.array([1.0, 0.0, 0.0, 0.0]),
+                     cloud.mean(axis=0) - mesh.vertices.mean(axis=0))
+
+
+@pytest.mark.parametrize("name", list(_COLD_POSES))
+def test_initial_pose_counts_before_listing(head, head_landmark_ids, intr, name):
+    # the valid pixels are counted for the 50-pixel check and listed only
+    # for the depth-centroid start: both starts are unchanged
+    frame, landmarks = _neutral_capture(head, head_landmark_ids, intr, _COLD_POSES[name])
+    noisy = add_depth_noise(frame, 0.002, np.random.default_rng(5))
+    for f in (frame, noisy):
+        for lms in (None, landmarks, _subset(landmarks, range(5))):
+            _assert_same_pose(initial_pose_from_depth(head.neutral, f, intr, lms),
+                              _initial_pose_listing_first(head.neutral, f, intr, lms))
+
+
 def test_unusable_landmarks_leave_the_start_unchanged(head, head_landmark_ids, intr):
     frame, landmarks = _neutral_capture(head, head_landmark_ids, intr,
                                         _COLD_POSES["roll-15deg"])

@@ -27,6 +27,7 @@ from blendfit import (
     track_sequence,
 )
 from blendfit import solver
+from blendfit.correspondence import landmark_jacobian
 from blendfit.geometry import apply_twist, project, quat_from_rotvec, quat_to_matrix
 from blendfit.solver import _COND_LIMIT, _MAX_DISTANCE, _residual_rows, twist_rows
 from blendfit.synth import (
@@ -461,6 +462,116 @@ def test_eliminated_form_falls_back_with_the_qr_reference(turned_scene, head, in
         _assert_close_to_reference(ref, (plain, ref[1], ref[2]))
 
 
+def _residual_rows_reference(verts_cam, corrs, landmarks, intr, cfg):
+    """_residual_rows as it was written, one list per output joined by
+    np.concatenate."""
+    sw = np.sqrt(cfg.w_d)
+    idx = [corrs.vertex_indices]
+    grad = [sw * corrs.normals]
+    res = [sw * corrs.residuals(verts_cam)]
+    if landmarks is not None and len(landmarks) > 0:
+        v = verts_cam[landmarks.vertex_indices]
+        sw = np.sqrt(cfg.w_l * landmarks.confidences)[:, None]
+        idx.append(np.repeat(landmarks.vertex_indices, 2))
+        grad.append((sw[:, :, None] * landmark_jacobian(v, intr)).reshape(-1, 3))
+        res.append((sw * (project(intr, v) - landmarks.pixels)).reshape(-1))
+    return np.concatenate(idx), np.concatenate(grad), np.concatenate(res)
+
+
+def _assemble_eliminated_reference(model, pose, rows, x_lin, J):
+    """assemble_quadratic(..., eliminate=J) as it was written: a from the
+    batched matmul into its own array, then [J a h] joined by
+    np.column_stack before its Gram matrix is taken."""
+    idx, grad, r = rows
+    n = model.n
+    blocks = np.ascontiguousarray(model.basis.transpose(1, 2, 0)[idx])
+    a = ((grad @ quat_to_matrix(pose.rotation))[:, None, :] @ blocks)[:, 0]
+    M = np.column_stack([J, a, r - a @ x_lin])
+    N = M.T @ M
+    if len(idx) < 6 or np.linalg.cond(N[:6, :6]) > _COND_LIMIT:
+        return QuadraticForm._of_gram(N[6:, 6:]), np.zeros((6, n)), np.zeros(6)
+    X = np.linalg.solve(N[:6, :6], N[:6, 6:])
+    return QuadraticForm._of_gram(N[6:, 6:] - N[6:, :6] @ X), -X[:, :n], -X[:, n]
+
+
+def _eliminated_cases(turned_scene, head, kind):
+    if kind == "head":
+        pose, x_lin, corrs, landmarks = turned_scene
+        five = CorrespondenceSet(corrs.vertex_indices[:5], corrs.points[:5],
+                                 corrs.normals[:5])
+        return [(head, pose, corrs, landmarks, x_lin), (head, pose, corrs, None, x_lin),
+                (head, pose, five, None, x_lin)]
+    return list(_small_model_cases(kind))
+
+
+@pytest.mark.parametrize("kind", ["head", "dense", "unmoved-vertex"])
+def test_eliminated_form_bit_identical_to_column_stack(turned_scene, head, intr, kind):
+    # [J a h] written into one buffer gives the Gram matrix, and so the
+    # form and the twist, of the three blocks joined after the fact
+    cfg = SolverConfig()
+    for model, pose, corrs, landmarks, x_lin in _eliminated_cases(turned_scene, head, kind):
+        verts_cam = pose.apply(evaluate_mesh(model, x_lin).vertices)
+        rows = _residual_rows(verts_cam, corrs, landmarks, intr, cfg)
+        J = twist_rows(verts_cam[rows[0]], rows[1])
+        got = assemble_quadratic(model, pose, corrs, landmarks, intr, x_lin, cfg,
+                                 rows=rows, eliminate=J)
+        ref = _assemble_eliminated_reference(model, pose, rows, x_lin, J)
+        _assert_same_form(got[0], ref[0])
+        assert got[1].tobytes() == ref[1].tobytes()
+        assert got[2].tobytes() == ref[2].tobytes()
+
+
+def test_twist_rows_match_np_cross(turned_scene, head, intr):
+    pose, x, corrs, landmarks = turned_scene
+    verts_cam = pose.apply(evaluate_mesh(head, x).vertices)
+    idx, grad, _ = _residual_rows(verts_cam, corrs, landmarks, intr, SolverConfig())
+    rng = np.random.default_rng(43)
+    cases = [(verts_cam[idx], grad), (np.zeros((3, 3)), -np.eye(3)),
+             (np.array([[-0.0, 0.0, 1.0]]), np.array([[0.0, -0.0, -0.0]]))]
+    cases += [(rng.normal(scale=s, size=(200, 3)), rng.normal(scale=1 / s, size=(200, 3)))
+              for s in (1e-3, 1.0, 1e3)]
+    for points, grads in cases:
+        ref = np.concatenate([np.cross(points, grads), grads], axis=1)
+        got = twist_rows(points, grads)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _random_states(head, pose, rng, count=4):
+    """(pose, x) pairs near `pose`: small twists, sparse and dense x."""
+    for j in range(count):
+        moved = apply_twist(pose, np.deg2rad(2.0) * rng.normal(size=3),
+                            rng.normal(scale=0.003, size=3))
+        x = rng.uniform(0, 0.6, head.n)
+        yield moved, x * (rng.uniform(size=head.n) < 0.2) if j % 2 else x
+
+
+@pytest.mark.parametrize("with_landmarks", [True, False], ids=["landmarks", "depth-only"])
+def test_candidate_score_is_the_objective_bit_for_bit(turned_scene, head, intr,
+                                                      with_landmarks):
+    # a candidate is scored without gradient rows; its value, the held
+    # evaluation's (with the rows) and evaluate_objective's are one
+    # number, and the rows are those of the concatenating reference
+    pose, _, corrs, landmarks = turned_scene
+    landmarks = landmarks if with_landmarks else None
+    cfg = SolverConfig()
+    for moved, x in _random_states(head, pose, np.random.default_rng(44)):
+        score = solver._evaluate_at(head, moved, x, corrs, landmarks, intr, cfg,
+                                    gradients=False)
+        held = solver._evaluate_at(head, moved, x, corrs, landmarks, intr, cfg)
+        assert score.rows is None
+        assert score.f == held.f == evaluate_objective(head, moved, x, corrs, landmarks,
+                                                       intr, cfg)
+        ref = _residual_rows_reference(held.verts_cam, corrs, landmarks, intr, cfg)
+        for got, want in zip(held.rows, ref):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # a rounding step apart in one r_i can leave r . r as it was, so the
+        # residuals are compared, not only the value
+        alone = _residual_rows(held.verts_cam, corrs, landmarks, intr, cfg, gradients=False)
+        assert alone[:2] == (None, None) and alone[2].tobytes() == ref[2].tobytes()
+        r = ref[2]
+        assert score.f == float(r @ r) + cfg.w_r * float(np.sum(np.abs(x)))
+
+
 # ---------------------------------------------------------------------------
 # solve_l1_box
 
@@ -817,6 +928,49 @@ def test_fit_frame_halved_coefficient_steps_keep_the_trace(scene, head, intr, mo
     assert fit.converged or len(trace) == solver._MAX_ITERATIONS
     assert evaluate_objective(head, fit.pose, fit.x, searches[-1], landmarks, intr,
                               cfg) == trace[-1] == fit.objective
+
+
+@pytest.mark.parametrize("halved", [False, True], ids=["full-steps", "halved-steps"])
+def test_fit_frame_scores_candidates_as_evaluate_objective(scene, head, intr, monkeypatch,
+                                                          halved):
+    # every candidate the joint step scores, whole or halved, is worth
+    # what evaluate_objective gives at its (pose, x) on that iteration's
+    # set, bit for bit; the pose and the set are read off the assembly's
+    # arguments. The halved path is forced by a first coefficient solve
+    # that returns all ones
+    held = []
+    real_assemble = solver.assemble_quadratic
+
+    def recording_assemble(model, pose, corrs, *args, **kwargs):
+        held.append((pose, corrs))
+        return real_assemble(model, pose, corrs, *args, **kwargs)
+
+    scored = []
+    real_backtrack = solver.backtrack
+
+    def recording_backtrack(cur, full, bound, evaluate):
+        def scoring(s):
+            value = evaluate(s)
+            scored.append((held[-1], s.copy(), value.f))
+            return value
+        return real_backtrack(cur, full, bound, scoring)
+
+    real_solve = solver.solve_l1_box
+
+    def solve(q, w_r, x0=None, **kwargs):
+        x, trace = real_solve(q, w_r, x0=x0, **kwargs)
+        return (np.ones_like(x) if halved and len(held) == 1 else x), trace
+
+    monkeypatch.setattr(solver, "assemble_quadratic", recording_assemble)
+    monkeypatch.setattr(solver, "backtrack", recording_backtrack)
+    monkeypatch.setattr(solver, "solve_l1_box", solve)
+    _, frame, landmarks = scene
+    cfg = SolverConfig(w_r=0.01)
+    fit_frame(head, frame, landmarks, intr, cfg=cfg, init_pose=frontal_pose())
+    assert (len(scored) > len(held)) == halved and len(held) >= 2
+    for (pose, corrs), s, f in scored:
+        assert f == evaluate_objective(head, apply_twist(pose, s[:3], s[3:6]), s[6:],
+                                       corrs, landmarks, intr, cfg)
 
 
 def test_fit_frame_objective_is_the_returned_state_after_the_break(

@@ -14,7 +14,6 @@ from .correspondence import (
     CorrespondenceSet,
     DepthFrame,
     LandmarkSet,
-    NoDataError,
     find_correspondences,
     landmark_jacobian,
 )

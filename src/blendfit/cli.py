@@ -24,9 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .geometry import BscSequence, CameraIntrinsics, evaluate_mesh
+from .geometry import CameraIntrinsics, evaluate_mesh
 from .metrics import (
-    FrameAlignment,
     UnknownPhonemeError,
     VisemeTable,
     sequence_report,
@@ -35,14 +34,7 @@ from .metrics import (
 from .personalize import PersonalizeConfig, RankDeficiencyError, personalize
 from .solver import SolverConfig, TrackingError, track_sequence
 from .solver import initial_pose_from_depth  # noqa: F401  not called; perfbench/tracer.py wraps it by this name
-from .synth import (
-    NoiseConfig,
-    ScriptFrame,
-    SequenceScript,
-    default_landmarks,
-    generate_sequence,
-    make_test_head,
-)
+from .synth import NoiseConfig, default_landmarks, generate_sequence, make_test_head
 
 _TESTHEAD = "testhead"
 _LANDMARK_COUNT = 40
@@ -77,20 +69,12 @@ def _load_model(spec: str):
     return io.read_model(spec)
 
 
-def _script_from_sequence(seq: BscSequence) -> SequenceScript:
-    return SequenceScript(tuple(
-        ScriptFrame(coefficients=fr.coefficients, pose=fr.pose,
-                    timestamp=fr.timestamp)
-        for fr in seq.frames))
-
-
 def _cmd_synth(args) -> int:
     model = _load_model(args.model)
-    script_seq = io.read_bsc_sequence(args.script)
-    if script_seq.n != model.n:
+    script = io.read_bsc_sequence(args.script)
+    if script.n != model.n:
         raise ValueError(
-            f"script has {script_seq.n} coefficients, model has {model.n}")
-    script = _script_from_sequence(script_seq)
+            f"script has {script.n} coefficients, model has {model.n}")
     intr = CameraIntrinsics(fx=args.fx, fy=args.fy,
                             cx=args.width / 2.0, cy=args.height / 2.0,
                             width=args.width, height=args.height)
@@ -148,8 +132,8 @@ def _cmd_track(args) -> int:
             loaded = list(pool.map(load, jobs))
     else:
         loaded = [load(j) for j in jobs]
-    for i, (frame, intr, _) in enumerate(loaded):
-        cam = manifest.camera
+    cam = manifest.camera
+    for i, ((frame, intr, _), entry) in enumerate(zip(loaded, manifest.frames)):
         if (frame.width, frame.height) != (cam.width, cam.height):
             raise ValueError(
                 f"frame {i} is {frame.width}x{frame.height}, "
@@ -157,6 +141,11 @@ def _cmd_track(args) -> int:
         if not np.allclose([intr.fx, intr.fy, intr.cx, intr.cy],
                            [cam.fx, cam.fy, cam.cx, cam.cy], rtol=1e-5):
             raise ValueError(f"frame {i} intrinsics disagree with the manifest")
+        # both come from the one float64 the dataset's writer was given
+        if frame.timestamp != entry.timestamp:
+            raise ValueError(
+                f"frame {i} ({entry.depth_path}) has timestamp {frame.timestamp!r}, "
+                f"manifest says {entry.timestamp!r}")
 
     frames = [f for f, _, _ in loaded]
     lms = [lm for _, _, lm in loaded]

@@ -35,10 +35,6 @@ _MAX_NORMAL_ANGLE = 60.0    # degrees, view-incidence limit
 _DEPTH_WINDOW = 1           # pixel offset for normal estimation
 
 
-class NoDataError(ValueError):
-    """No depth correspondences and no landmarks to fit against."""
-
-
 @dataclass(frozen=True)
 class DepthFrame:
     """Metric depth image, row-major (height, width), 0.0 = invalid pixel."""

@@ -212,20 +212,19 @@ class BlendshapeModel:
         return _readonly(self.basis.transpose(1, 2, 0))
 
 
-def validate_bsc(x, n: int | None = None, atol: float = 1e-9) -> np.ndarray:
-    """Check a blendshape coefficient vector: 1-D, length n, values in [0, 1].
+def validate_bsc(x) -> np.ndarray:
+    """Check a blendshape coefficient vector: 1-D, finite, values in [0, 1].
 
-    Returns the vector as a float64 array; values within atol of the box
-    are snapped onto it.
+    Returns the vector as a float64 array; values within 1e-9 of the box
+    are snapped onto it. The length is checked where the model is known
+    (`BscSequence`, `evaluate_mesh`).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatchError(f"coefficients must be 1-D, got shape {x.shape}")
-    if n is not None and len(x) != n:
-        raise DimensionMismatchError(f"expected {n} coefficients, got {len(x)}")
     if not np.all(np.isfinite(x)):
         raise ValueError("coefficients must be finite")
-    if x.size and (x.min() < -atol or x.max() > 1.0 + atol):
+    if x.size and (x.min() < -1e-9 or x.max() > 1.0 + 1e-9):
         raise ValueError(
             f"coefficients outside [0, 1]: min {x.min():.6g}, max {x.max():.6g}")
     return np.clip(x, 0.0, 1.0)
@@ -266,17 +265,6 @@ class RigidPose:
         p = np.asarray(points, dtype=np.float64)
         return p @ self.matrix().T + self.translation
 
-    def compose(self, other: "RigidPose") -> "RigidPose":
-        """self after other: (self o other)(p) = self(other(p))."""
-        q = quat_normalize(quat_multiply(self.rotation, other.rotation))
-        t = self.apply(other.translation)
-        return RigidPose(q, t)
-
-    def inverse(self) -> "RigidPose":
-        q = quat_conjugate(self.rotation)
-        q = quat_normalize(q)
-        return RigidPose(q, -(quat_to_matrix(q) @ self.translation))
-
 
 def apply_twist(pose: RigidPose, omega, tau) -> RigidPose:
     """Left-multiplied small-motion update: p' = dR (R p + t) + tau with
@@ -308,10 +296,13 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise ValueError("focal lengths must be positive and finite")
+        # bool is an int subclass, but not a pixel count
+        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s > 0
+                   for s in (self.width, self.height)):
+            raise ValueError(f"image dimensions {self.width!r}x{self.height!r} "
+                             "must be positive integers")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
 
 
 @dataclass(frozen=True)
@@ -324,6 +315,8 @@ class SequenceFrame:
     coefficients: np.ndarray
 
     def __post_init__(self):
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"timestamp {self.timestamp!r} is not finite")
         x = validate_bsc(self.coefficients)
         object.__setattr__(self, "coefficients", _readonly(x))
 

@@ -78,7 +78,6 @@ from .correspondence import (
     CorrespondenceSet,
     DepthFrame,
     LandmarkSet,
-    NoDataError,
     find_correspondences,
     landmark_jacobian,
 )
@@ -269,18 +268,15 @@ def assemble_quadratic(model: BlendshapeModel, pose: RigidPose,
     vertex-major basis at the row's vertex, every shape's delta there,
     all rows in one batched matmul. J, a and h are written into one
     C-ordered (m, 6 + n + 1) buffer, (m, n + 1) without J, and N is the
-    Gram matrix of that buffer.
-    Raises NoDataError when there are neither correspondences nor
-    landmarks.
+    Gram matrix of that buffer. With neither correspondences nor
+    landmarks there are no rows, and the form is the empty sum: H, g and
+    c are 0, as with zero weights, and T, t0 are zeros.
     """
     n = model.n
     x_lin = np.asarray(x_lin, dtype=float)
     if x_lin.shape != (n,):
         raise DimensionMismatchError(f"x_lin has shape {x_lin.shape}, expected ({n},)")
-    n_land = 0 if landmarks is None else len(landmarks)
-    if len(corrs) == 0 and n_land == 0:
-        raise NoDataError("no depth correspondences and no landmarks")
-    if n_land > 0:
+    if landmarks is not None:
         landmarks.check_vertices(model.vertex_count)
 
     rot = quat_to_matrix(pose.rotation)
@@ -577,7 +573,7 @@ def fit_frame(model: BlendshapeModel, frame: DepthFrame,
     ValueError when a landmark names a vertex the model does not have.
     """
     cfg = cfg or SolverConfig()
-    if landmarks is not None and len(landmarks):
+    if landmarks is not None:
         landmarks.check_vertices(model.vertex_count)
     if init_pose is not None:
         pose = init_pose
@@ -679,7 +675,7 @@ def track_sequence(model: BlendshapeModel, frames, landmarks_per_frame,
     """
     cfg = cfg or SolverConfig()
     frames = list(frames)
-    lms = list(landmarks_per_frame) if landmarks_per_frame is not None else [None] * len(frames)
+    lms = list(landmarks_per_frame)
     if len(lms) != len(frames):
         raise DimensionMismatchError(
             f"{len(lms)} landmark sets for {len(frames)} frames")

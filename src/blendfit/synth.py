@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,7 +268,7 @@ def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, frame_index])
 
 
-def generate_frame(model: BlendshapeModel, script_frame: ScriptFrame,
+def generate_frame(model: BlendshapeModel, script_frame: ScriptFrame | SequenceFrame,
                    intr: CameraIntrinsics, ids, noise: NoiseConfig,
                    frame_index: int) -> tuple[DepthFrame, LandmarkSet]:
     """Render one script frame with its derived noise stream."""
@@ -282,10 +282,14 @@ def generate_frame(model: BlendshapeModel, script_frame: ScriptFrame,
     return frame, lms
 
 
-def generate_sequence(model: BlendshapeModel, script: SequenceScript,
+def generate_sequence(model: BlendshapeModel, script: SequenceScript | BscSequence,
                       intr: CameraIntrinsics, ids,
                       noise: NoiseConfig | None = None) -> GeneratedSequence:
-    """Render a whole script: depth frames, landmark sets, and ground truth."""
+    """Render a whole script: depth frames, landmark sets, and ground truth.
+
+    The script is a `SequenceScript`, or a `BscSequence` as read from a
+    sequence file; only each frame's coefficients, pose and timestamp are
+    read, and frame i is rendered as frame i whatever index it carries."""
     if len(script) == 0:
         raise ValueError("script is empty")
     noise = noise or NoiseConfig()

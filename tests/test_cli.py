@@ -13,6 +13,7 @@ from blendfit import (
     SequenceFrame,
     evaluate_mesh,
 )
+from blendfit import cli
 from blendfit import io as bio
 from blendfit.cli import main
 from blendfit.personalize import ExampleExpression
@@ -218,6 +219,29 @@ def test_track_rejects_malformed_manifest(workspace, tmp_path, capsys):
     assert err.startswith("blendfit track: error:")
     assert str(manifest) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("shift", [pytest.param(None, id="repeats-frame-0"),
+                                   pytest.param(1e-3, id="still-increasing")])
+def test_track_rejects_depth_timestamp_off_manifest(workspace, tmp_path, capsys,
+                                                    monkeypatch, shift):
+    # frame 1's depth header disagrees with its manifest entry, either by
+    # repeating frame 0's timestamp or by a shift that keeps them increasing;
+    # the run stops before any fit and names the file and both values
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace / "ds", ds)
+    stated = bio.read_manifest(ds / "manifest.json").frames[1].timestamp
+    frame, intr = bio.read_depth(ds / "frame_0001.bsdf")
+    header = (bio.read_depth(ds / "frame_0000.bsdf")[0].timestamp if shift is None
+              else stated + shift)
+    bio.write_depth(ds / "frame_0001.bsdf", DepthFrame(frame.values, timestamp=header), intr)
+    monkeypatch.setattr(cli, "track_sequence", lambda *a, **k: pytest.fail("fit ran"))
+    rc = main(["track", "--model", "testhead", "--dataset", str(ds / "manifest.json"),
+               "--out", str(tmp_path / "o.bscseq")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("blendfit track: error: frame 1")
+    assert "frame_0001.bsdf" in err and repr(header) in err and repr(stated) in err
 
 
 def _track_argv(ds, tmp_path, *extra, model="testhead"):

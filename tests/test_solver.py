@@ -12,7 +12,6 @@ from blendfit import (
     DepthFrame,
     LandmarkSet,
     Mesh,
-    NoDataError,
     QuadraticForm,
     RigidPose,
     SolverConfig,
@@ -128,21 +127,29 @@ def test_assembled_form_is_exactly_symmetric(scene, head, intr):
     assert q.H.tobytes() == q.H.T.copy().tobytes()
 
 
-def test_assemble_zero_weights_gives_zero_form(scene, head, intr):
+@pytest.mark.parametrize("eliminate", [False, True], ids=["plain", "eliminated"])
+@pytest.mark.parametrize("no_rows", [False, True], ids=["zero-weights", "no-rows"])
+def test_assemble_zero_weights_gives_zero_form(scene, head, intr, no_rows, eliminate):
+    # zero weights, or no correspondences and no landmarks at all: the
+    # form is the empty sum, and an eliminated twist stays 0
     _, frame, landmarks = scene
     pose = frontal_pose()
     verts = pose.apply(evaluate_mesh(head, np.zeros(head.n)).vertices)
-    corrs = find_correspondences(verts, frame, intr, _MAX_DISTANCE)
-    cfg = SolverConfig(w_d=0.0, w_l=0.0)
-    q = assemble_quadratic(head, pose, corrs, landmarks, intr, np.zeros(head.n), cfg)
+    if no_rows:
+        corrs = CorrespondenceSet([], np.zeros((0, 3)), np.zeros((0, 3)))
+        landmarks, cfg = None, SolverConfig()
+    else:
+        corrs = find_correspondences(verts, frame, intr, _MAX_DISTANCE)
+        cfg = SolverConfig(w_d=0.0, w_l=0.0)
+    kwargs = {}
+    if eliminate:
+        rows = _residual_rows(verts, corrs, landmarks, intr, cfg)
+        kwargs = dict(rows=rows, eliminate=twist_rows(verts[rows[0]], rows[1]))
+    out = assemble_quadratic(head, pose, corrs, landmarks, intr, np.zeros(head.n),
+                             cfg, **kwargs)
+    q, T, t0 = out if eliminate else (out, np.zeros((6, head.n)), np.zeros(6))
     assert not q.H.any() and not q.g.any() and q.c == 0.0
-
-
-def test_assemble_requires_some_data(head, intr):
-    with pytest.raises(NoDataError):
-        assemble_quadratic(head, frontal_pose(),
-                           CorrespondenceSet([], np.zeros((0, 3)), np.zeros((0, 3))),
-                           LandmarkSet.empty(), intr, np.zeros(head.n), SolverConfig())
+    assert T.shape == (6, head.n) and not T.any() and not t0.any()
 
 
 def test_assembled_value_matches_direct_residuals(scene, head, intr):

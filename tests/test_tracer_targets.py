@@ -49,3 +49,27 @@ def test_every_tracer_only_import_has_a_target(monkeypatch):
                            for alias in node.names]
     missing = [f"{mod}.{attr}" for mod, attr in unused if (mod, attr) not in targets]
     assert not missing, f"tracer-only imports with no perfbench/tracer.py target: {missing}"
+
+
+def test_every_import_is_used_or_a_tracer_target():
+    # a module's imported name must be read in that module, or carry the
+    # tracer's `# noqa: F401`, which the test above ties to a target; the
+    # package's re-exports in __init__.py and `from __future__` are not
+    # uses to check
+    unread = []
+    for path in sorted((_ROOT / "src" / "blendfit").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.end_lineno - 1]):
+                continue
+            unread += [f"{path.name}: {alias.asname or alias.name}" for alias in node.names
+                       if (alias.asname or alias.name).split(".")[0] not in read]
+    assert not unread, f"imported but never read: {unread}"

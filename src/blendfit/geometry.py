@@ -296,9 +296,9 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise ValueError("focal lengths must be positive and finite")
-        # bool is an int subclass, but not a pixel count
-        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s > 0
-                   for s in (self.width, self.height)):
+        # the int a dataset file can store: not a bool, float or NumPy integer
+        if not (type(self.width) is int and type(self.height) is int
+                and self.width > 0 and self.height > 0):
             raise ValueError(f"image dimensions {self.width!r}x{self.height!r} "
                              "must be positive integers")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

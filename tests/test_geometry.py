@@ -428,9 +428,11 @@ def test_validated_types_reject_non_finite(build):
         build()
 
 
-@pytest.mark.parametrize("width", [0, 1.5, True], ids=["zero", "fraction", "bool"])
+@pytest.mark.parametrize("width", [0, 1.5, True, np.int64(320)],
+                         ids=["zero", "fraction", "bool", "numpy-int"])
 def test_camera_rejects_non_integer_or_empty_image(width):
     # checked before the principal point, so a zero width is not reported
-    # as a principal point outside the image
+    # as a principal point outside the image; a NumPy integer is refused
+    # because a manifest's JSON cannot store it
     with pytest.raises(ValueError, match="must be positive integers"):
         CameraIntrinsics(fx=300.0, fy=300.0, cx=0.5, cy=120.0, width=width, height=240)

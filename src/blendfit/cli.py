@@ -136,11 +136,14 @@ def _cmd_track(args) -> int:
     for i, ((frame, intr, _), entry) in enumerate(zip(loaded, manifest.frames)):
         if (frame.width, frame.height) != (cam.width, cam.height):
             raise ValueError(
-                f"frame {i} is {frame.width}x{frame.height}, "
+                f"frame {i} ({entry.depth_path}) is {frame.width}x{frame.height}, "
                 f"manifest camera says {cam.width}x{cam.height}")
-        if not np.allclose([intr.fx, intr.fy, intr.cx, intr.cy],
-                           [cam.fx, cam.fy, cam.cx, cam.cy], rtol=1e-5):
-            raise ValueError(f"frame {i} intrinsics disagree with the manifest")
+        got = (intr.fx, intr.fy, intr.cx, intr.cy)
+        stated = (cam.fx, cam.fy, cam.cx, cam.cy)
+        if not np.allclose(got, stated, rtol=1e-5):
+            raise ValueError(
+                f"frame {i} ({entry.depth_path}) has intrinsics (fx, fy, cx, cy) = "
+                f"{got}, manifest camera says {stated}")
         # both come from the one float64 the dataset's writer was given
         if frame.timestamp != entry.timestamp:
             raise ValueError(

@@ -8,11 +8,14 @@ re-solved per vertex as the regularized least squares
 
 which decomposes into independent n x n systems sharing one activation
 Gram matrix, so a single factorization covers every vertex and axis.
-Optional 2D landmark constraints add Gauss-Newton reprojection rows,
-weighted by each landmark's confidence, for the constrained vertices
-only; those vertices are re-solved as coupled 3n x 3n systems whose
-steps `solver.backtrack` halves against the true objective, so the
-result never scores worse than the generic initializer.
+Optional 2D landmark constraints add reprojection rows, weighted by
+each landmark's confidence, for the constrained vertices only; those
+vertices are re-solved by Gauss-Newton on coupled 3n x 3n systems. One
+function gives each example's residual rows at the vertex and their
+gradients (`_example_rows`): the step is built from those rows, and
+`solver.backtrack` halves it against their sum of squares plus the
+ridge, so the result never scores worse than the global solve it
+starts from.
 """
 
 from __future__ import annotations
@@ -78,20 +81,6 @@ class PersonalizeConfig:
             raise ValueError("weights must be finite and non-negative")
 
 
-def _landmark_objective(example: ExampleExpression, b0_v, basis_v, vj) -> float:
-    """The squared reprojection error of vertex vj, weighted by confidence
-    and summed over every landmark of `example` bound to it."""
-    lm = example.landmarks
-    v_model = b0_v + basis_v.T @ example.activation
-    uv = project(example.camera, example.pose.apply(v_model))
-    on_vj = lm.vertex_indices == vj
-    total = 0.0
-    for pixel, conf in zip(lm.pixels[on_vj], lm.confidences[on_vj]):
-        res = uv - pixel
-        total += float(conf * (res @ res))
-    return total
-
-
 def personalize(generic: BlendshapeModel, examples, cfg: PersonalizeConfig | None = None
                 ) -> BlendshapeModel:
     """Fit a subject-specific model from example expressions.
@@ -114,6 +103,11 @@ def personalize(generic: BlendshapeModel, examples, cfg: PersonalizeConfig | Non
         if ex.activation.shape != (n,):
             raise MeshValidationError(
                 f"example {e} activation length {len(ex.activation)} != n={n}")
+        if ex.landmarks is not None:
+            try:
+                ex.landmarks.check_vertices(nv)
+            except ValueError as exc:
+                raise ValueError(f"example {e}: {exc}") from None
 
     neutral_ex = next((ex for ex in examples if not ex.activation.any()), None)
     if neutral_ex is None:
@@ -140,7 +134,7 @@ def personalize(generic: BlendshapeModel, examples, cfg: PersonalizeConfig | Non
         basis = basis.copy()
         for vj in sorted(constrained):
             basis[:, vj, :] = _solve_constrained_vertex(
-                generic, examples, cfg, b0[vj], basis[:, vj, :], vj, gram, lam)
+                generic, examples, cfg, b0[vj], basis[:, vj, :], vj)
 
     return BlendshapeModel(neutral=Mesh(b0, generic.neutral.faces),
                            basis=basis, names=generic.names)
@@ -154,71 +148,66 @@ def _constrained_vertices(examples) -> set:
     return out
 
 
-def _vertex_objective(examples, cfg, b0_v, basis_v, generic_slice, vj) -> float:
-    """True (non-linearized) per-vertex objective, landmark term included."""
-    total = cfg.basis_regularization * float(np.sum((basis_v - generic_slice) ** 2))
-    for ex in examples:
-        r = b0_v + basis_v.T @ ex.activation - ex.scan.vertices[vj]
-        total += float(r @ r)
-        if ex.landmarks is not None and vj in set(int(v) for v in ex.landmarks.vertex_indices):
-            total += cfg.landmark_weight * _landmark_objective(ex, b0_v, basis_v, vj)
-    return total
+def _example_rows(example: ExampleExpression, cfg: PersonalizeConfig, vj, v):
+    """The residual rows of `example` at vertex vj, which its activation
+    puts at v: (r (m,), g (m, 3)), g[i] the gradient of r[i] at v.
+
+    Three scan rows, v - s_e, with gradient I; two per landmark of the
+    example bound to vj (u and v), sqrt(landmark_weight conf)
+    (proj(R v + t) - u), with the projection Jacobian rows times R.
+    """
+    r, g = v - example.scan.vertices[vj], np.eye(3)
+    lm = example.landmarks
+    if lm is None or not (on_vj := lm.vertex_indices == vj).any():
+        return r, g
+    rot = example.pose.matrix()
+    v_cam = rot @ v + example.pose.translation
+    sw = np.sqrt(cfg.landmark_weight * lm.confidences[on_vj])[:, None]   # (L, 1)
+    r_lm = sw * (project(example.camera, v_cam) - lm.pixels[on_vj])
+    g_lm = sw[:, :, None] * (landmark_jacobian(v_cam, example.camera) @ rot)
+    return np.concatenate([r, r_lm.reshape(-1)]), np.concatenate([g, g_lm.reshape(-1, 3)])
 
 
-def _solve_constrained_vertex(generic, examples, cfg, b0_v, basis_v, vj,
-                              gram, lam) -> np.ndarray:
-    """Gauss-Newton refinement of one vertex's (n, 3) basis slice under
-    scan, regularization, and landmark reprojection terms, each landmark
-    weighted by `landmark_weight` times its confidence."""
+def _solve_constrained_vertex(generic, examples, cfg, b0_v, basis_v, vj) -> np.ndarray:
+    """Gauss-Newton refinement of one vertex's (n, 3) basis slice B_v
+    against sum_e r_e . r_e + lambda_B ||B_v - B_generic,v||^2, r_e the
+    rows of example e (`_example_rows`). Example e puts the vertex at
+    b0_v + B_v^T a_e, so a row with gradient g there has gradient
+    a_e (x) g with respect to B_v, flattened with index k*3+c."""
     n = generic.n
+    lam = cfg.basis_regularization
     generic_slice = generic.basis[:, vj, :]
-    # scan + regularizer contributions are constant across GN iterations
-    a_const = np.kron(gram + lam * np.eye(n), np.eye(3))
-    rhs_scan = np.zeros(3 * n)
-    for ex in examples:
-        rhs_scan += np.kron(ex.activation, ex.scan.vertices[vj] - b0_v)
-    rhs_const = rhs_scan + lam * generic_slice.reshape(-1)
+    x_mat = np.stack([ex.activation for ex in examples])         # (E, n)
+
+    def rows(b):
+        return [_example_rows(ex, cfg, vj, v)
+                for ex, v in zip(examples, b0_v + x_mat @ b)]
+
+    def score(b):
+        try:
+            total = sum(float(r @ r) for r, _ in rows(b))
+        except BehindCameraError:
+            # a step that moves the vertex behind a camera is a rise
+            return np.inf
+        return total + lam * float(np.sum((b - generic_slice) ** 2))
 
     cur = basis_v
-    f_cur = _vertex_objective(examples, cfg, b0_v, cur, generic_slice, vj)
+    f_cur = score(cur)
     for _ in range(_MAX_GN_ITERATIONS):
-        a = a_const.copy()
-        rhs = rhs_const.copy()
-        for ex in examples:
-            if ex.landmarks is None:
-                continue
-            on_vj = ex.landmarks.vertex_indices == vj
-            pixels = ex.landmarks.pixels[on_vj]
-            if not len(pixels):
-                continue
-            v_model = b0_v + cur.T @ ex.activation
-            v_cam = ex.pose.apply(v_model)
-            jac_px = landmark_jacobian(v_cam, ex.camera)          # (2, 3)
-            # d v_cam / d vec(B_v) with vec index k*3+c
-            jr = jac_px @ ex.pose.matrix()                        # (2, 3)
-            big_j = np.kron(ex.activation[None, :], jr).reshape(2, 3 * n)
-            uv = project(ex.camera, v_cam)
-            # two rows per landmark on vj, all sharing the Jacobian
-            for pixel, conf in zip(pixels, ex.landmarks.confidences[on_vj]):
-                r0 = uv - pixel
-                w = cfg.landmark_weight * conf
-                a += w * (big_j.T @ big_j)
-                rhs += w * (big_j.T @ (big_j @ cur.reshape(-1) - r0))
+        rg = rows(cur)
+        # sum_e (a_e a_e^T) (x) (g_e^T g_e) as [k, l, c, d], then [k, c, l, d]
+        g_gram = np.stack([g.T @ g for _, g in rg]).reshape(-1, 1, 9)
+        normal = (x_mat.T @ (x_mat[:, :, None] * g_gram).reshape(len(examples), 9 * n)
+                  ).reshape(n, n, 3, 3).transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+        grad = x_mat.T @ np.stack([g.T @ r for r, g in rg]) + lam * (cur - generic_slice)
         try:
-            new = np.linalg.solve(a, rhs).reshape(n, 3)
+            delta = np.linalg.solve(normal + lam * np.eye(3 * n), grad.reshape(-1))
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError(
                 f"vertex {vj} landmark system is singular") from exc
 
         # accept only true-objective descent; halve toward current otherwise
-        def score(b):
-            try:
-                return _vertex_objective(examples, cfg, b0_v, b, generic_slice, vj)
-            except BehindCameraError:
-                # a step that moves the vertex behind a camera is a rise
-                return np.inf
-
-        new, f_new, _ = backtrack(cur, new, f_cur + 1e-15, score)
+        new, f_new, _ = backtrack(cur, cur - delta.reshape(n, 3), f_cur + 1e-15, score)
         if new is None:
             break
         step = float(np.max(np.abs(new - cur)))

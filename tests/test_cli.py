@@ -1,5 +1,6 @@
 """Command-line pipeline: synth, track, eval, apply, personalize, exit codes."""
 
+import dataclasses
 import json
 import shutil
 
@@ -10,6 +11,7 @@ from blendfit import (
     BscSequence,
     CameraIntrinsics,
     DepthFrame,
+    LandmarkSet,
     SequenceFrame,
     evaluate_mesh,
 )
@@ -221,27 +223,51 @@ def test_track_rejects_malformed_manifest(workspace, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("shift", [pytest.param(None, id="repeats-frame-0"),
-                                   pytest.param(1e-3, id="still-increasing")])
-def test_track_rejects_depth_timestamp_off_manifest(workspace, tmp_path, capsys,
-                                                    monkeypatch, shift):
-    # frame 1's depth header disagrees with its manifest entry, either by
-    # repeating frame 0's timestamp or by a shift that keeps them increasing;
-    # the run stops before any fit and names the file and both values
+def _repeat_frame_0(ds, frame, intr, stated):
+    header = bio.read_depth(ds / "frame_0000.bsdf")[0].timestamp
+    return frame.values, header, intr, [repr(header), repr(stated)]
+
+
+def _shift_timestamp(ds, frame, intr, stated):
+    return frame.values, stated + 1e-3, intr, [repr(stated + 1e-3), repr(stated)]
+
+
+def _resize(ds, frame, intr, stated):
+    return (frame.values[:, :300], frame.timestamp, dataclasses.replace(intr, width=300),
+            ["300x240", "320x240"])
+
+
+def _alter_fx(ds, frame, intr, stated):
+    fx = 1.01 * intr.fx
+    return (frame.values, frame.timestamp, dataclasses.replace(intr, fx=fx),
+            [repr(fx), repr(intr.fx)])
+
+
+@pytest.mark.parametrize("rewrite", [
+    pytest.param(_repeat_frame_0, id="repeats-frame-0"),
+    pytest.param(_shift_timestamp, id="still-increasing"),
+    pytest.param(_resize, id="resized"),
+    pytest.param(_alter_fx, id="altered-fx")])
+def test_track_rejects_depth_file_off_manifest(workspace, tmp_path, capsys, monkeypatch,
+                                               rewrite):
+    # frame 1's depth header disagrees with its manifest entry: its timestamp
+    # repeats frame 0's or is shifted by a millisecond that keeps them
+    # increasing, its image is narrower, or its fx is 1% off; the run stops
+    # before any fit and names the file and both values
     ds = tmp_path / "ds"
     shutil.copytree(workspace / "ds", ds)
     stated = bio.read_manifest(ds / "manifest.json").frames[1].timestamp
     frame, intr = bio.read_depth(ds / "frame_0001.bsdf")
-    header = (bio.read_depth(ds / "frame_0000.bsdf")[0].timestamp if shift is None
-              else stated + shift)
-    bio.write_depth(ds / "frame_0001.bsdf", DepthFrame(frame.values, timestamp=header), intr)
+    values, header, intr, named = rewrite(ds, frame, intr, stated)
+    bio.write_depth(ds / "frame_0001.bsdf", DepthFrame(values, timestamp=header), intr)
     monkeypatch.setattr(cli, "track_sequence", lambda *a, **k: pytest.fail("fit ran"))
     rc = main(["track", "--model", "testhead", "--dataset", str(ds / "manifest.json"),
                "--out", str(tmp_path / "o.bscseq")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("blendfit track: error: frame 1")
-    assert "frame_0001.bsdf" in err and repr(header) in err and repr(stated) in err
+    assert "frame_0001.bsdf" in err
+    assert all(value in err for value in named), (named, err)
 
 
 def _track_argv(ds, tmp_path, *extra, model="testhead"):
@@ -414,6 +440,25 @@ def test_personalize_command(tmp_path):
     # examples generated by the generic model itself leave it unchanged
     np.testing.assert_allclose(fitted.basis, model.basis, atol=1e-6)
     assert fitted.names == model.names
+
+
+def test_personalize_rejects_landmark_vertex_off_model(tmp_path, capsys):
+    model = random_model(np.random.default_rng(8))
+    generic_path = tmp_path / "generic.bsbm"
+    bio.write_model(generic_path, model)
+    cam = CameraIntrinsics(fx=400.0, fy=400.0, cx=80.0, cy=60.0, width=160, height=120)
+    lms = LandmarkSet(("a",), [500], [[80.0, 60.0]])
+    examples = [ExampleExpression(evaluate_mesh(model, np.zeros(model.n)), np.zeros(model.n)),
+                ExampleExpression(evaluate_mesh(model, np.eye(model.n)[0]), np.eye(model.n)[0],
+                                  landmarks=lms, camera=cam, pose=frontal_pose(0.4))]
+    bio.write_examples(tmp_path / "ex", examples)
+    rc = main(["personalize", "--generic", str(generic_path),
+               "--examples-dir", str(tmp_path / "ex"), "--out", str(tmp_path / "o.bsbm")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("blendfit personalize: error: example 1")
+    assert "500" in err and "Traceback" not in err
+    assert not (tmp_path / "o.bsbm").exists()
 
 
 def test_apply_rejects_bad_stride(tmp_path, workspace, capsys):

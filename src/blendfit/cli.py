@@ -10,12 +10,17 @@ error, 2 runtime failure. A JSON config file (--config) supplies
 defaults for any flag of the chosen subcommand; flags given on the
 command line always win. Results are deterministic for fixed flags and
 seed, whatever --threads says.
+
+The argument parser is built once per process and never changed after:
+each `main` call parses into a fresh namespace, so in-process calls
+share no state through it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -227,6 +232,7 @@ def _cmd_apply(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="blendfit",
                      description="Blendshape coefficient and head pose "

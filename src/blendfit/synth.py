@@ -69,6 +69,9 @@ class NoiseConfig:
             raise ValueError("noise sigmas must be finite and >= 0")
         if not 0.0 <= self.landmark_dropout <= 1.0:
             raise ValueError("dropout must be a probability")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(
+                f"noise seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,8 @@ class ScriptFrame:
     timestamp: float
 
     def __post_init__(self):
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"timestamp {self.timestamp!r} is not finite")
         object.__setattr__(self, "coefficients", validate_bsc(self.coefficients))
 
 
@@ -198,14 +203,19 @@ def _screen_triangles(mesh: Mesh, pose: RigidPose, intr: CameraIntrinsics) -> tu
 
 
 def add_depth_noise(frame: DepthFrame, sigma: float, rng: np.random.Generator) -> DepthFrame:
-    """Gaussian depth noise on valid pixels only; invalid pixels stay 0."""
+    """Gaussian depth noise on valid pixels only; invalid pixels stay 0.
+
+    The noise is drawn for the whole image, valid or not, so the draw of a
+    pixel does not depend on which other pixels are valid: pixel (r, c) of
+    a frame gets `rng.normal(0.0, sigma, size=shape)[r, c]`.
+    """
     if sigma == 0.0:
         return frame
-    values = np.asarray(frame.values, dtype=np.float64).copy()
-    valid = values > 0.0
-    noise = rng.normal(0.0, sigma, size=values.shape)
-    values[valid] = np.maximum(values[valid] + noise[valid], _Z_NEAR)
-    return DepthFrame(values.astype(np.float32),
+    values = np.asarray(frame.values, dtype=np.float64)
+    noisy = rng.normal(0.0, sigma, size=values.shape)
+    noisy += values
+    np.maximum(noisy, _Z_NEAR, out=noisy)
+    return DepthFrame(np.where(values > 0.0, noisy, values).astype(np.float32),
                       frame_index=frame.frame_index, timestamp=frame.timestamp)
 
 
@@ -402,11 +412,21 @@ def _spread_sample(points: np.ndarray, count: int, rng: np.random.Generator) -> 
 
 def default_landmarks(model: BlendshapeModel, count: int = 40,
                       seed: int = 0) -> list:
-    """Deterministic (landmark_id, vertex_index) pairs spread over the face."""
-    rng = np.random.default_rng(seed)
-    verts = model.neutral.vertices
-    picks = _spread_sample(verts, count, rng)
-    return [(f"lm{i:02d}", int(v)) for i, v in enumerate(picks)]
+    """Deterministic (landmark_id, vertex_index) pairs spread over the face.
+
+    The picks depend only on the neutral mesh's vertices, `count` and
+    `seed`, and are computed once per such triple in a process; each call
+    returns a new list.
+    """
+    verts = np.ascontiguousarray(model.neutral.vertices, dtype=np.float64)
+    return list(_landmark_picks(verts.tobytes(), count, seed))
+
+
+@functools.lru_cache(maxsize=16)
+def _landmark_picks(vertex_bytes: bytes, count: int, seed: int) -> tuple:
+    verts = np.frombuffer(vertex_bytes, dtype=np.float64).reshape(-1, 3)
+    picks = _spread_sample(verts, count, np.random.default_rng(seed))
+    return tuple((f"lm{i:02d}", int(v)) for i, v in enumerate(picks))
 
 
 def frontal_pose(distance: float = 0.5) -> RigidPose:

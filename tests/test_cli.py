@@ -19,7 +19,7 @@ from blendfit import cli
 from blendfit import io as bio
 from blendfit.cli import main
 from blendfit.personalize import ExampleExpression
-from blendfit.synth import frontal_pose, make_test_head
+from blendfit.synth import NoiseConfig, frontal_pose, make_test_head
 
 from conftest import random_model
 
@@ -125,6 +125,62 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_help_exits_zero_after_other_calls(workspace, tmp_path, capsys):
+    # the workspace ran synth and track in this process; the parser they
+    # used is the one --help prints
+    with pytest.raises(SystemExit):
+        main(["synth", "--bogus"])
+    assert main(_track_argv(workspace / "ds", tmp_path)) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: blendfit")
+    assert "{synth,track,personalize,eval,apply}" in out
+
+
+def _synth_argv(tmp_path, out_dir, *extra):
+    script = tmp_path / "s.bscseq"
+    if not script.exists():
+        _write_script(script, make_test_head(), [{3: 0.5}])
+    return ["synth", "--script", str(script), "--out-dir", str(tmp_path / out_dir),
+            "--width", "64", "--height", "48", "--fx", "80", "--fy", "80", *extra]
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise-depth": 0.003, "seed": 9}))
+    assert main(_synth_argv(tmp_path, "a", "--config", str(cfg))) == 0
+    first = bio.read_manifest(tmp_path / "a" / "manifest.json")
+    assert (first.seed, first.noise.depth_sigma) == (9, 0.003)
+    assert main(_synth_argv(tmp_path, "b")) == 0
+    second = bio.read_manifest(tmp_path / "b" / "manifest.json")
+    assert second.seed == 0
+    assert second.noise == NoiseConfig()
+
+
+def test_usage_error_leaves_nothing_for_the_next_call(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_synth_argv(tmp_path, "a", "--nope"))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: blendfit synth")
+    assert main(_synth_argv(tmp_path, "b")) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"wrote 1 frames to {tmp_path / 'b'}\n"
+
+
+def test_synth_rejects_negative_seed(tmp_path, capsys):
+    rc = main(_synth_argv(tmp_path, "d", "--seed", "-1"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == ("blendfit synth: error: noise seed must be a non-negative "
+                   "integer, got -1\n")
+    assert not (tmp_path / "d").exists()
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):

@@ -537,8 +537,11 @@ def _edit_json(path, edit):
     (lambda d: d.update(noise=3), "noise"),
     (lambda d: d["frames"][1].update(timestamp=None), "frames[1] timestamp"),
     (lambda d: d["camera"].update(width=d["camera"]["width"] + 0.5), "camera width"),
+    (lambda d: d.update(seed=-1, noise={"depth_sigma": 0.002, "landmark_sigma": 1.0,
+                                        "landmark_dropout": 0.0}),
+     "noise: noise seed must be a non-negative integer, got -1"),
 ], ids=["non-object-frame", "string-frames", "null-fx", "number-noise",
-        "null-timestamp", "fractional-width"])
+        "null-timestamp", "fractional-width", "negative-noise-seed"])
 def test_manifest_malformed_entry_rejected(tmp_path, intr, edit, where):
     ds, manifest = _tiny_dataset(tmp_path, intr)
     path = ds / "manifest.json"

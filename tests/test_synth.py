@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from blendfit import CameraIntrinsics, Mesh, RigidPose, evaluate_mesh
+from conftest import random_model
+
+from blendfit import BlendshapeModel, CameraIntrinsics, DepthFrame, Mesh, RigidPose, evaluate_mesh
 from blendfit.geometry import quat_from_rotvec
 from blendfit import synth
 from blendfit.synth import (
@@ -266,11 +268,51 @@ def test_depth_noise_deterministic_under_seed(intr):
     np.testing.assert_array_equal(a.values, b.values)
 
 
+def _masked_depth_noise(frame, sigma, rng):
+    # the formula add_depth_noise replaced: a copy, two boolean gathers
+    # and a boolean scatter
+    values = np.asarray(frame.values, dtype=np.float64).copy()
+    valid = values > 0.0
+    noise = rng.normal(0.0, sigma, size=values.shape)
+    values[valid] = np.maximum(values[valid] + noise[valid], synth._Z_NEAR)
+    return values.astype(np.float32)
+
+
+@pytest.mark.parametrize("sigma", [1e-5, 0.002, 0.05, 1.0])
+@pytest.mark.parametrize("covered", [True, False], ids=["square", "all-invalid"])
+def test_depth_noise_matches_masked_formula(intr, sigma, covered):
+    # sigma 1.0 drives many pixels of a 1 m square below the near plane,
+    # so the clamp is exercised too
+    frame = render_depth(_facing_square() if covered else Mesh(np.zeros((0, 3)),
+                         np.zeros((0, 3), dtype=int)), RigidPose.identity(), intr)
+    frame = DepthFrame(frame.values, frame_index=3, timestamp=0.1)
+    noisy = add_depth_noise(frame, sigma, np.random.default_rng(11))
+    expected = _masked_depth_noise(frame, sigma, np.random.default_rng(11))
+    assert noisy.values.dtype == expected.dtype
+    assert noisy.values.tobytes() == expected.tobytes()
+    assert (noisy.frame_index, noisy.timestamp) == (3, 0.1)
+    invalid = ~frame.valid_mask()
+    assert invalid.any()
+    assert np.all(noisy.values[invalid] == 0.0)
+    assert not np.signbit(noisy.values[invalid]).any()
+
+
+def test_zero_depth_noise_returns_the_frame(intr):
+    frame = render_depth(_facing_square(), RigidPose.identity(), intr)
+    assert add_depth_noise(frame, 0.0, np.random.default_rng(0)) is frame
+
+
 def test_noise_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(depth_sigma=-0.001)
     with pytest.raises(ValueError):
         NoiseConfig(landmark_dropout=1.5)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_noise_config_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match=rf"noise seed must be a non-negative integer, got {seed}"):
+        NoiseConfig(seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +367,12 @@ def test_constant_script_timestamps_increase(head):
     script = constant_script(np.zeros(head.n), frontal_pose(), 5)
     ts = [f.timestamp for f in script.frames]
     assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
+@pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), float("-inf")])
+def test_script_frame_rejects_non_finite_timestamp(head, timestamp):
+    with pytest.raises(ValueError, match=rf"timestamp {timestamp!r} is not finite"):
+        ScriptFrame(np.zeros(head.n), frontal_pose(), timestamp)
 
 
 def test_script_rejects_non_increasing_timestamps(head):
@@ -406,6 +454,45 @@ def test_default_landmarks_are_pinned(head):
              1097, 1437, 1839, 448, 1282, 183, 172, 507, 1897, 1601, 387, 88, 742]
     assert synth.default_landmarks(head, 40, 0) == [
         (f"lm{i:02d}", v) for i, v in enumerate(picks)]
+
+
+def _with_vertices(model, verts):
+    return BlendshapeModel(Mesh(verts, model.neutral.faces), model.basis, model.names)
+
+
+def _spread_picks(verts, count, seed):
+    picks = synth._spread_sample(verts, count, np.random.default_rng(seed))
+    return [(f"lm{i:02d}", int(v)) for i, v in enumerate(picks)]
+
+
+def test_default_landmarks_returns_a_new_list(head):
+    first = synth.default_landmarks(head, 40, 0)
+    expected = list(first)
+    first[0] = ("moved", 1)
+    first.append(("extra", 2))
+    second = synth.default_landmarks(head, 40, 0)
+    assert second == expected
+    assert second is not synth.default_landmarks(head, 40, 0)
+
+
+def test_default_landmarks_follow_the_neutral_vertices(head):
+    # same vertex count and faces, other positions: other picks
+    verts = head.neutral.vertices[::-1].copy()
+    moved = _with_vertices(head, verts)
+    picks = synth.default_landmarks(moved, 40, 0)
+    assert picks == _spread_picks(verts, 40, 0)
+    assert picks != synth.default_landmarks(head, 40, 0)
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_default_landmarks_equal_spread_sample(trial):
+    rng = np.random.default_rng(100 + trial)
+    model = random_model(rng, side=6, n=2)
+    model = _with_vertices(model, rng.normal(size=(model.vertex_count, 3)))
+    for count, seed in [(1, 0), (5, trial), (20, 7), (36, 0)]:
+        for _ in range(2):      # a computed call, then a remembered one
+            assert synth.default_landmarks(model, count, seed) == \
+                _spread_picks(model.neutral.vertices, count, seed)
 
 
 def test_cached_test_head_is_read_only():

@@ -8,8 +8,9 @@ ground truth, and `apply` exports per-frame meshes for inspection.
 Exit codes are a stable contract: 0 success, 1 validation or usage
 error, 2 runtime failure. A JSON config file (--config) supplies
 defaults for any flag of the chosen subcommand; flags given on the
-command line always win. Results are deterministic for fixed flags and
-seed, whatever --threads says.
+command line always win. `track` reads and checks its frames in one
+pool of --threads workers; results are deterministic for fixed flags
+and seed, whatever --threads says.
 
 The argument parser is built once per process and never changed after:
 each `main` call parses into a fresh namespace, so in-process calls
@@ -42,7 +43,6 @@ from .solver import initial_pose_from_depth  # noqa: F401  not called; perfbench
 from .synth import NoiseConfig, default_landmarks, generate_sequence, make_test_head
 
 _TESTHEAD = "testhead"
-_LANDMARK_COUNT = 40
 
 _VALIDATION_ERRORS = (
     io.FormatError,
@@ -88,7 +88,7 @@ def _cmd_synth(args) -> int:
                         landmark_dropout=args.dropout, seed=args.seed)
     # landmark vertex choice is part of the dataset definition, so it is
     # pinned to the model, not to the noise seed
-    ids = default_landmarks(model, count=_LANDMARK_COUNT, seed=0)
+    ids = default_landmarks(model)
 
     generated = generate_sequence(model, script, intr, ids, noise)
 
@@ -119,32 +119,17 @@ def _cmd_track(args) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
 
+    cam = manifest.camera
+    stated = (cam.fx, cam.fy, cam.cx, cam.cy)
+
     def load(i_entry):
         i, entry = i_entry
         frame, intr = io.read_depth(entry.depth_path, frame_index=i)
-        lms = None
-        if entry.landmarks_path is not None:
-            lms = io.read_landmarks(entry.landmarks_path)
-            try:
-                lms.check_vertices(model.vertex_count)
-            except ValueError as exc:
-                raise io.FormatError(f"{entry.landmarks_path}: {exc}") from None
-        return frame, intr, lms
-
-    jobs = list(enumerate(manifest.frames))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            loaded = list(pool.map(load, jobs))
-    else:
-        loaded = [load(j) for j in jobs]
-    cam = manifest.camera
-    for i, ((frame, intr, _), entry) in enumerate(zip(loaded, manifest.frames)):
         if (frame.width, frame.height) != (cam.width, cam.height):
             raise ValueError(
                 f"frame {i} ({entry.depth_path}) is {frame.width}x{frame.height}, "
                 f"manifest camera says {cam.width}x{cam.height}")
         got = (intr.fx, intr.fy, intr.cx, intr.cy)
-        stated = (cam.fx, cam.fy, cam.cx, cam.cy)
         if not np.allclose(got, stated, rtol=1e-5):
             raise ValueError(
                 f"frame {i} ({entry.depth_path}) has intrinsics (fx, fy, cx, cy) = "
@@ -154,9 +139,20 @@ def _cmd_track(args) -> int:
             raise ValueError(
                 f"frame {i} ({entry.depth_path}) has timestamp {frame.timestamp!r}, "
                 f"manifest says {entry.timestamp!r}")
+        lms = None
+        if entry.landmarks_path is not None:
+            lms = io.read_landmarks(entry.landmarks_path)
+            try:
+                lms.check_vertices(model.vertex_count)
+            except ValueError as exc:
+                raise io.FormatError(f"{entry.landmarks_path}: {exc}") from None
+        return frame, lms
 
-    frames = [f for f, _, _ in loaded]
-    lms = [lm for _, _, lm in loaded]
+    # results come back in manifest order, so the first faulty frame in
+    # that order is the one reported
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        frames, lms = zip(*pool.map(load, enumerate(manifest.frames)))
+
     cfg = SolverConfig(w_d=args.wd, w_l=args.wl, w_r=args.wr)
     result = track_sequence(model, frames, lms, manifest.camera, cfg)
 

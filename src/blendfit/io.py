@@ -157,14 +157,8 @@ def write_depth(path, frame: DepthFrame, intr: CameraIntrinsics) -> None:
 
 def read_depth(path, frame_index: int = 0) -> tuple[DepthFrame, CameraIntrinsics]:
     blob = Path(path).read_bytes()
-    if len(blob) < _DEPTH_HEADER.size:
-        raise FormatError(
-            f"{path}: header needs {_DEPTH_HEADER.size} bytes, file has {len(blob)}")
-    magic, version, width, height, fx, fy, cx, cy, ts = _DEPTH_HEADER.unpack_from(blob)
-    if magic != _DEPTH_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {_DEPTH_MAGIC!r}")
-    if version != _DEPTH_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    width, height, fx, fy, cx, cy, ts = _unpack_header(
+        path, blob, _DEPTH_HEADER, _DEPTH_MAGIC, _DEPTH_VERSION)
     expected = _DEPTH_HEADER.size + 4 * width * height
     if len(blob) != expected:
         raise FormatError(
@@ -200,14 +194,7 @@ def write_model(path, model: BlendshapeModel) -> None:
 
 def read_model(path) -> BlendshapeModel:
     blob = Path(path).read_bytes()
-    if len(blob) < _MODEL_HEADER.size:
-        raise FormatError(
-            f"{path}: header needs {_MODEL_HEADER.size} bytes, file has {len(blob)}")
-    magic, version, n, nv, nf = _MODEL_HEADER.unpack_from(blob)
-    if magic != _MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {_MODEL_MAGIC!r}")
-    if version != _MODEL_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    n, nv, nf = _unpack_header(path, blob, _MODEL_HEADER, _MODEL_MAGIC, _MODEL_VERSION)
     off = _MODEL_HEADER.size
     names = []
     for _ in range(n):
@@ -460,6 +447,8 @@ class DatasetManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
+        if not self.frames:
+            raise ValueError("a dataset needs at least one frame")
         ts = [f.timestamp for f in self.frames]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("frame timestamps must be strictly increasing")
@@ -745,6 +734,20 @@ def _file(base: Path, value, where: str) -> Path:
     if not isinstance(value, str):
         raise FormatError(f"{where} must be a path string, got {value!r}")
     return base / value
+
+
+def _unpack_header(path, blob: bytes, header: struct.Struct, magic: bytes,
+                   version: int) -> list:
+    """The fields after a binary file's magic and version, once the file
+    is long enough for `header` and both match."""
+    if len(blob) < header.size:
+        raise FormatError(f"{path}: header needs {header.size} bytes, file has {len(blob)}")
+    got_magic, got_version, *fields = header.unpack_from(blob)
+    if got_magic != magic:
+        raise FormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
+    if got_version != version:
+        raise FormatError(f"{path}: unsupported version {got_version}")
+    return fields
 
 
 def _construct(where: str, cls, *args, **kwargs):

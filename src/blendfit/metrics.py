@@ -169,14 +169,10 @@ def viseme_weighted_error(pred: BscSequence, gt: BscSequence,
     t's viseme; when every frame has zero weight the score is 0 and the
     breakdown carries all_silence=True.
     """
-    if len(pred) != len(gt):
-        raise DimensionMismatchError(
-            f"sequence lengths differ: {len(pred)} vs {len(gt)}")
+    _check_pair(pred, gt)
     if len(align) != len(pred):
         raise DimensionMismatchError(
             f"{len(align)} labels for {len(pred)} frames")
-    if pred.names != gt.names:
-        raise ValueError("sequences index different blendshape names")
     for p, g in zip(pred.frames, gt.frames):
         if abs(p.timestamp - g.timestamp) > 1e-9:
             raise ValueError(
@@ -227,11 +223,7 @@ def sequence_report(pred: BscSequence, gt: BscSequence | None = None) -> dict:
             for t, k in zip(*np.nonzero((mat < 0.0) | (mat > 1.0)))],
     }
     if gt is not None:
-        if len(gt) != len(pred):
-            raise DimensionMismatchError(
-                f"sequence lengths differ: {len(pred)} vs {len(gt)}")
-        if gt.names != pred.names:
-            raise ValueError("sequences index different blendshape names")
+        _check_pair(pred, gt)
         diff = mat - gt.coefficient_matrix()
         per_shape = np.sqrt(np.mean(diff * diff, axis=0))
         report["rmse_per_blendshape"] = {
@@ -239,3 +231,11 @@ def sequence_report(pred: BscSequence, gt: BscSequence | None = None) -> dict:
         report["rmse_overall"] = float(np.sqrt(np.mean(diff * diff)))
         report["max_abs_error"] = float(np.max(np.abs(diff))) if diff.size else 0.0
     return report
+
+
+def _check_pair(pred: BscSequence, gt: BscSequence) -> None:
+    if len(pred) != len(gt):
+        raise DimensionMismatchError(
+            f"sequence lengths differ: {len(pred)} vs {len(gt)}")
+    if pred.names != gt.names:
+        raise ValueError("sequences index different blendshape names")

@@ -20,7 +20,6 @@ starts from.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -38,8 +37,6 @@ from .geometry import (
     validate_bsc,
 )
 from .solver import backtrack
-
-log = logging.getLogger(__name__)
 
 _MAX_GN_ITERATIONS = 5
 

@@ -128,8 +128,6 @@ def render_depth(mesh: Mesh, pose: RigidPose, intr: CameraIntrinsics) -> DepthFr
     memory stays bounded for close-up poses.
     """
     h, w = intr.height, intr.width
-    if mesh.face_count == 0 or mesh.vertex_count == 0:
-        return DepthFrame(np.zeros((h, w), dtype=np.float32))
     ax, ay, bx, by, cx_, cy_, z0, z1, z2 = _screen_triangles(mesh, pose, intr)
 
     # the pixel centers inside each face's corner range, clipped to the image
@@ -353,18 +351,15 @@ def make_test_head() -> BlendshapeModel:
     verts = np.stack([x[inside], y[inside], z[inside]], axis=1)
 
     # split each grid quad (a, b, c, d) with all corners inside into the
-    # triangles (a, b, c) and (a, c, d), quads in row-major order
+    # triangles (c, b, a) and (d, c, a), quads in row-major order: wound
+    # this way where they are built, the faces and so the vertex normals
+    # point toward the camera (-z)
     quads = np.stack([index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]],
                      axis=-1).reshape(-1, 4)
     quads = quads[np.all(quads >= 0, axis=1)]
-    faces = np.stack([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]], axis=1).reshape(-1, 3)
+    faces = np.stack([quads[:, [2, 1, 0]], quads[:, [3, 2, 0]]], axis=1).reshape(-1, 3)
     mesh = Mesh(verts, faces)
-
-    # orient faces so vertex normals point toward the camera (-z)
     normals = vertex_normals(mesh)
-    if np.median(normals[:, 2]) > 0:
-        mesh = Mesh(verts, mesh.faces[:, ::-1])
-        normals = vertex_normals(mesh)
 
     rng = np.random.default_rng(_HEAD_SEED)
     param_r = np.sqrt(rr[inside])

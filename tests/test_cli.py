@@ -279,6 +279,48 @@ def test_track_rejects_malformed_manifest(workspace, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", [lambda d: d.update(frames=[]), lambda d: d.pop("frames")],
+                         ids=["empty", "missing"])
+def test_track_rejects_manifest_without_frames(workspace, tmp_path, capsys, edit):
+    # no frame is a malformed dataset, not a dataset whose every frame failed
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace / "ds", ds)
+    manifest = ds / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    rc = main(_track_argv(ds, tmp_path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"blendfit track: error: {manifest}: a dataset needs at least one frame\n"
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_track_reports_first_faulty_frame(tmp_path, capsys, monkeypatch, threads):
+    # frame 1's depth file is narrower than the manifest camera and frame 3
+    # names a vertex off the model: whatever --threads says, frame 1 is the
+    # one reported, before any fit
+    model = make_test_head()
+    script = tmp_path / "script.bscseq"
+    _write_script(script, model, [{5: 0.5}] * 4)
+    ds = tmp_path / "ds"
+    assert main(["synth", "--script", str(script), "--out-dir", str(ds)]) == 0
+    frame, intr = bio.read_depth(ds / "frame_0001.bsdf")
+    bio.write_depth(ds / "frame_0001.bsdf",
+                    DepthFrame(frame.values[:, :300], timestamp=frame.timestamp),
+                    dataclasses.replace(intr, width=300))
+    lm_path = ds / "landmarks_0003.json"
+    doc = json.loads(lm_path.read_text())
+    doc["points"][0]["vertex"] = 99999
+    lm_path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "track_sequence", lambda *a, **k: pytest.fail("fit ran"))
+    rc = main(_track_argv(ds, tmp_path, "--threads", str(threads)))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("blendfit track: error: frame 1 (")
+    assert "frame_0001.bsdf" in err and "landmarks_0003.json" not in err
+
+
 def _repeat_frame_0(ds, frame, intr, stated):
     header = bio.read_depth(ds / "frame_0000.bsdf")[0].timestamp
     return frame.values, header, intr, [repr(header), repr(stated)]

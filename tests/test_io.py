@@ -142,24 +142,6 @@ def test_depth_truncation_names_byte_counts(tmp_path, intr):
     assert str(len(blob) - 8) in str(err.value)
 
 
-def test_depth_bad_magic(tmp_path):
-    path = tmp_path / "bad.bsdf"
-    path.write_bytes(b"NOPE" + bytes(40))
-    with pytest.raises(FormatError):
-        read_depth(path)
-
-
-def test_depth_unknown_version(tmp_path, intr):
-    frame = DepthFrame(np.full((intr.height, intr.width), 1.0, dtype=np.float32))
-    path = tmp_path / "v.bsdf"
-    write_depth(path, frame, intr)
-    blob = bytearray(path.read_bytes())
-    blob[4:6] = struct.pack("<H", 9)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError):
-        read_depth(path)
-
-
 def _depth_blob(width, height, values, fx=100.0):
     header = struct.pack("<4sHIIffffd", b"BSDF", 1, width, height,
                          fx, 100.0, 0.5 * width, 0.5 * height, 0.0)
@@ -192,13 +174,6 @@ def test_model_round_trip(tmp_path):
     np.testing.assert_array_equal(back.neutral.faces, model.neutral.faces)
     np.testing.assert_array_equal(back.basis, model.basis)
     assert back.names == model.names
-
-
-def test_model_bad_magic(tmp_path):
-    path = tmp_path / "bad.bsbm"
-    path.write_bytes(b"XXXX" + bytes(30))
-    with pytest.raises(FormatError):
-        read_model(path)
 
 
 def _model_blob(names, faces):
@@ -234,6 +209,31 @@ def test_valid_hand_built_model_loads(tmp_path):
     path.write_bytes(_model_blob([b"jaw"], [[0, 1, 2]]))
     model = read_model(path)
     assert model.names == ("jaw",) and model.neutral.face_count == 1
+
+
+@pytest.mark.parametrize("case", ["short-header", "bad-magic", "unknown-version"])
+@pytest.mark.parametrize("fmt", ["depth", "model"])
+def test_binary_header_rejected(tmp_path, fmt, case):
+    # both binary readers check their header alike: a file too short for
+    # it, a wrong magic (the files of the former per-format tests) and a
+    # version this reader does not know, each named with the file
+    read, valid, size, bad_magic = {
+        "depth": (read_depth, _depth_blob(2, 1, [1.0, 1.0]),
+                  struct.calcsize("<4sHIIffffd"), b"NOPE" + bytes(40)),
+        "model": (read_model, _model_blob([b"jaw"], [[0, 1, 2]]),
+                  struct.calcsize("<4sHIII"), b"XXXX" + bytes(30)),
+    }[fmt]
+    blob, message = {
+        "short-header": (valid[:size - 1], f"header needs {size} bytes, file has {size - 1}"),
+        "bad-magic": (bad_magic, "bad magic"),
+        "unknown-version": (valid[:4] + struct.pack("<H", 9) + valid[6:],
+                            "unsupported version 9"),
+    }[case]
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        read(path)
+    assert str(path) in str(err.value) and message in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +540,11 @@ def _edit_json(path, edit):
     (lambda d: d.update(seed=-1, noise={"depth_sigma": 0.002, "landmark_sigma": 1.0,
                                         "landmark_dropout": 0.0}),
      "noise: noise seed must be a non-negative integer, got -1"),
+    (lambda d: d.update(frames=[]), "a dataset needs at least one frame"),
+    (lambda d: d.pop("frames"), "a dataset needs at least one frame"),
 ], ids=["non-object-frame", "string-frames", "null-fx", "number-noise",
-        "null-timestamp", "fractional-width", "negative-noise-seed"])
+        "null-timestamp", "fractional-width", "negative-noise-seed", "no-frames",
+        "missing-frames"])
 def test_manifest_malformed_entry_rejected(tmp_path, intr, edit, where):
     ds, manifest = _tiny_dataset(tmp_path, intr)
     path = ds / "manifest.json"

@@ -200,6 +200,20 @@ def test_report_sparsity_fraction():
     assert sequence_report(seq)["sparsity_fraction"] == 0.75
 
 
+@pytest.mark.parametrize("gt, error, message", [
+    (_seq([[0.5, 0.0]]), DimensionMismatchError, "sequence lengths differ: 2 vs 1"),
+    (_seq([[0.5, 0.0], [0.5, 0.0]], names=("a", "c")), ValueError,
+     "sequences index different blendshape names"),
+], ids=["length", "names"])
+def test_reports_reject_mismatched_pair(gt, error, message):
+    # eval's two reports reject a mismatched pair alike
+    pred = _seq([[0.5, 0.0], [0.5, 0.0]])
+    with pytest.raises(error, match=message):
+        sequence_report(pred, gt)
+    with pytest.raises(error, match=message):
+        viseme_weighted_error(pred, gt, FrameAlignment(("p", "t")), VisemeTable.default())
+
+
 def test_report_rejects_empty():
     with pytest.raises(ValueError):
         sequence_report(BscSequence(("a",), ()))

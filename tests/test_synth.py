@@ -6,7 +6,7 @@ import pytest
 from conftest import random_model
 
 from blendfit import BlendshapeModel, CameraIntrinsics, DepthFrame, Mesh, RigidPose, evaluate_mesh
-from blendfit.geometry import quat_from_rotvec
+from blendfit.geometry import quat_from_rotvec, vertex_normals
 from blendfit import synth
 from blendfit.synth import (
     NoiseConfig,
@@ -26,9 +26,16 @@ from blendfit.synth import (
 # depth rasterizer
 
 def test_empty_mesh_renders_all_invalid(intr):
-    frame = render_depth(Mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)),
-                         RigidPose.identity(), intr)
-    assert not frame.valid_mask().any()
+    # no vertices, or vertices in view but no faces: nothing draws, and the
+    # frame is the all-zero float32 image
+    no_faces = np.zeros((0, 3), dtype=int)
+    for mesh in (Mesh(np.zeros((0, 3)), no_faces),
+                 Mesh(np.random.default_rng(0).uniform(-0.1, 0.1, (5, 3)) + [0, 0, 1],
+                      no_faces)):
+        frame = render_depth(mesh, RigidPose.identity(), intr)
+        assert not frame.valid_mask().any()
+        assert frame.values.tobytes() == np.zeros((intr.height, intr.width),
+                                                  np.float32).tobytes()
 
 
 def _facing_square(z=1.0, half=0.2):
@@ -428,8 +435,8 @@ def test_test_head_shape_and_determinism():
 
     # the vertices sample a (u, v) grid row by row; every grid quad
     # (a, b, c, d) with all four corners present becomes the triangles
-    # (a, b, c) and (a, c, d), quads in row-major order, with the winding
-    # reversed as a whole so the faces point toward the camera
+    # (c, b, a) and (d, c, a), quads in row-major order, wound so that
+    # every vertex normal points toward the camera (-z)
     verts = a.neutral.vertices
     _, i = np.unique(verts[:, 0], return_inverse=True)
     _, j = np.unique(verts[:, 1], return_inverse=True)
@@ -441,9 +448,10 @@ def test_test_head_shape_and_determinism():
         for c in range(index.shape[1] - 1):
             q0, q1, q2, q3 = index[r, c], index[r + 1, c], index[r + 1, c + 1], index[r, c + 1]
             if min(q0, q1, q2, q3) >= 0:
-                faces += [(q0, q1, q2), (q0, q2, q3)]
-    np.testing.assert_array_equal(a.neutral.faces, np.array(faces)[:, ::-1])
+                faces += [(q2, q1, q0), (q3, q2, q0)]
+    np.testing.assert_array_equal(a.neutral.faces, np.array(faces))
     np.testing.assert_array_equal(b.neutral.faces, a.neutral.faces)
+    assert (vertex_normals(a.neutral)[:, 2] < 0).all()
 
 
 def test_default_landmarks_are_pinned(head):
